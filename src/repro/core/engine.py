@@ -33,7 +33,7 @@ from ..datalog.engine import EvalResult
 from ..datalog.executor import BATCH, BatchExecutor, check_engine_mode
 from ..datalog.planner import ClausePlanner, check_plan_mode
 from ..datalog.seminaive import (EvalStats, RelationStore, evaluate_stratum,
-                                 prepare_store)
+                                 prepare_store, stratum_clauses)
 from ..datalog.trace import (EV_EVAL_END, EV_EVAL_START, EV_ID_CHOICE,
                              EV_ID_MATERIALIZED, Tracer, resolve_tracer)
 from ..errors import EvaluationError, ReplayError
@@ -324,7 +324,11 @@ class IdlogEngine:
                         plan=self.plan, engine=self.engine,
                         strata=self.compiled.stratification.depth,
                         idlog=True)
-        self._run_strata(store, stats, tracer)
+        planner, executor = self._pipeline_state(tracer)
+        for level, heads, clauses in stratum_clauses(
+                self.program, self.compiled.stratification):
+            evaluate_stratum(clauses, heads, store, stats, planner=planner,
+                             executor=executor, tracer=tracer, stratum=level)
         if tracer is not None:
             tracer.emit(EV_EVAL_END, program=self.program.name,
                         wall_s=perf_counter() - start,
@@ -349,19 +353,6 @@ class IdlogEngine:
               ) -> frozenset[tuple]:
         """Evaluate under one assignment and project one predicate."""
         return self.run(db, assignment).tuples(pred)
-
-    def _run_strata(self, store: RelationStore, stats: EvalStats,
-                    tracer: Optional[Tracer] = None) -> None:
-        planner, executor = self._pipeline_state(tracer)
-        heads = self.program.head_predicates
-        for level, stratum in enumerate(self.compiled.stratification.strata):
-            stratum_heads = frozenset(stratum & heads)
-            clauses = tuple(c for c in self.program.clauses
-                            if c.head.pred in stratum_heads)
-            if clauses:
-                evaluate_stratum(clauses, stratum_heads, store, stats,
-                                 planner=planner, executor=executor,
-                                 tracer=tracer, stratum=level)
 
     # -- answer-set enumeration --------------------------------------------
 
@@ -481,18 +472,16 @@ class IdlogEngine:
         relations = {name: store.relation(name)
                      for name in program.predicates}
         heads = program.head_predicates
-        strata = compiled.stratification.strata
 
         # Each ID-predicate gets exactly ONE ID-relation per interpretation,
         # so a (pred, group) pair is branched on at its first-use stratum
         # only; the chosen relation is carried to later strata.
         assigned: set[tuple[str, Grouping]] = set()
-        needed_per_stratum = []
-        for stratum in strata:
+        levels = []
+        for level, stratum_heads, clauses in stratum_clauses(
+                program, compiled.stratification):
             needed: set[tuple[str, Grouping]] = set()
-            for clause in program.clauses:
-                if clause.head.pred not in stratum:
-                    continue
+            for clause in clauses:
                 for literal in clause.body:
                     atom = literal.atom
                     if isinstance(atom, Atom) and atom.is_id:
@@ -500,7 +489,7 @@ class IdlogEngine:
                         if key not in assigned:
                             needed.add(key)
                             assigned.add(key)
-            needed_per_stratum.append(sorted(needed))
+            levels.append((level, stratum_heads, clauses, sorted(needed)))
 
         # One plan cache (and one compiled-pipeline cache) for the whole
         # enumeration: branches share clause identities, the cost mode's
@@ -510,20 +499,19 @@ class IdlogEngine:
         tracer = resolve_tracer(self.tracer)
         planner = ClausePlanner(self.plan, tracer=tracer)
         executor = self._make_executor(tracer)
-        yield from self._branch(compiled, relations, heads, strata, 0,
-                                needed_per_stratum, budget, {},
-                                Fraction(1), planner, executor, tracer)
+        yield from self._branch(compiled, relations, heads, levels, 0,
+                                budget, {}, Fraction(1), planner, executor,
+                                tracer)
 
     def _branch(self, compiled: IdlogProgram,
                 relations: dict[str, Relation], heads: frozenset[str],
-                strata, k: int, needed_per_stratum, budget: list[int],
+                levels, k: int, budget: list[int],
                 chosen: dict[tuple[str, Grouping], Relation],
                 weight: Fraction, planner: ClausePlanner,
                 executor: Optional[BatchExecutor],
                 tracer: Optional[Tracer] = None,
                 ) -> Iterator[tuple]:
-        program = compiled.program
-        if k == len(strata):
+        if k == len(levels):
             budget[0] -= 1
             if budget[0] < 0:
                 raise EvaluationError(
@@ -533,10 +521,7 @@ class IdlogEngine:
             yield relations, chosen, weight
             return
 
-        stratum_heads = frozenset(strata[k] & heads)
-        clauses = tuple(c for c in program.clauses
-                        if c.head.pred in stratum_heads)
-        needed = needed_per_stratum[k]
+        level, stratum_heads, clauses, needed = levels[k]
 
         choice_spaces = []
         for pred, group in needed:
@@ -567,11 +552,9 @@ class IdlogEngine:
             store = RelationStore(provider, stats)
             for name, rel in branch_relations.items():
                 store.install(name, rel)
-            if clauses:
-                evaluate_stratum(clauses, stratum_heads, store, stats,
-                                 planner=planner, executor=executor,
-                                 tracer=tracer, stratum=k)
+            evaluate_stratum(clauses, stratum_heads, store, stats,
+                             planner=planner, executor=executor,
+                             tracer=tracer, stratum=level)
             yield from self._branch(compiled, branch_relations, heads,
-                                    strata, k + 1, needed_per_stratum,
-                                    budget, branch_chosen, branch_weight,
-                                    planner, executor, tracer)
+                                    levels, k + 1, budget, branch_chosen,
+                                    branch_weight, planner, executor, tracer)

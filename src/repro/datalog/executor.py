@@ -27,10 +27,9 @@ int-keyed indexes and extend rows straight out of the ``array('q')``
 columns, and anti-joins test coded membership — no Python-object hashing
 or equality anywhere on the hot path.  Only builtins decode: solvers
 compute over real values (arithmetic, comparisons), so their inputs are
-decoded per row and their outputs re-encoded.  :meth:`BatchExecutor
-.execute` decodes the derived head tuples for value-level callers; the
-semi-naive loop uses :meth:`BatchExecutor.execute_coded` and keeps codes
-all the way into relation storage.
+decoded per row and their outputs re-encoded.  The fixpoint driver takes
+:meth:`BatchExecutor.execute_coded`'s coded head rows straight into
+relation storage; nothing on this path decodes them.
 
 Semi-naive deltas need no special machinery: the delta override at the
 forced-first position is just a different build side for the first join.
@@ -56,7 +55,7 @@ from .database import Relation
 from .pool import GLOBAL_POOL
 from .pretty import format_clause, format_literal
 from .safety import order_body
-from .terms import Const, Value, Var
+from .terms import Const, Var
 from .trace import EV_PIPELINE_COMPILED
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids a cycle)
@@ -626,6 +625,13 @@ class _Pipeline:
         self.head_of = _compile_head(clause.head, layout)
 
 
+def _stage(est, rows: int, probes: int) -> dict:
+    """One join stage's estimate-vs-actual record."""
+    return {"literal": format_literal(est.literal), "kind": est.kind,
+            "est_rows": est.rows, "actual_rows": rows,
+            "est_probes": est.probes, "actual_probes": probes}
+
+
 class BatchExecutor:
     """Executes planned clauses as batch pipelines, caching compilations.
 
@@ -660,9 +666,11 @@ class BatchExecutor:
                       ) -> list[tuple[int, ...]]:
         """All head tuples derivable from one clause, as coded rows.
 
-        The semi-naive hot path: derived rows stay in code space and flow
-        straight into :meth:`Relation.merge_coded`.  Accounting matches
-        :meth:`execute` exactly (it is the same computation).
+        The fixpoint driver's hot path: derived rows stay in code space
+        and flow straight into relation storage.  Probe and firing
+        accounting match :func:`~repro.datalog.seminaive.evaluate_clause`
+        exactly; callers wanting values decode with
+        :meth:`~repro.datalog.pool.ConstantPool.decode_row`.
         """
         estimates = None
         if planner is not None:
@@ -694,98 +702,44 @@ class BatchExecutor:
             stats.pipelines_reused += 1
 
         override = delta if delta_index is not None else None
+        # Per-stage estimate-vs-actual capture, only while traced and only
+        # when the planner supplied estimates: each join stage records its
+        # (est_rows, actual_rows, est_probes, actual_probes) for the
+        # clause_fire event.  Stages the pipeline never reached (an
+        # upstream join emptied the batch) record zero actuals: the planner
+        # predicted work there that never happened.
+        stages: Optional[list[dict]] = None
         if self.tracer is not None:
             self.last_stages = None  # never leak a previous call's capture
             if estimates is not None:
-                return self._run_instrumented(pipeline, estimates, store,
-                                              stats, override)
+                stages = self.last_stages = []
         batch: Batch = [()]
         for i, op in enumerate(pipeline.ops):
+            if stages is not None:
+                probes_before = stats.probes
             if op.atom is None:
                 batch = op.run(batch, None, stats)
             elif i == 0 and override is not None:
                 batch = op.run(batch, override, stats)
             else:
                 batch = op.run(batch, store.resolve(op.atom), stats)
+            if stages is not None:
+                stages.append(_stage(estimates[i], len(batch),
+                                     stats.probes - probes_before))
+                if not batch:
+                    stages.extend(_stage(est, 0, 0)
+                                  for est in estimates[i + 1:])
             if not batch:
-                return []
-        fused = pipeline.fused
-        if fused is not None:
-            batch = fused.run(batch, store.resolve(fused.atom), stats)
-            stats.firings += len(batch)
-            return batch
-        stats.firings += len(batch)
-        head_of = pipeline.head_of
-        return list(map(head_of, batch))
-
-    def _run_instrumented(self, pipeline: "_Pipeline", estimates,
-                          store: "RelationStore", stats: "EvalStats",
-                          override) -> list[tuple[int, ...]]:
-        """The pipeline loop with per-stage estimate-vs-actual capture.
-
-        Identical computation and accounting to the uninstrumented loop
-        in :meth:`execute_coded` — the only addition is snapshotting
-        ``stats.probes`` and the batch size around every operator so
-        each ``clause_fire`` event can carry ``(est_rows, actual_rows,
-        est_probes, actual_probes)`` per join stage.  Stages the
-        pipeline never reached (an upstream join emptied the batch)
-        are recorded with zero actuals: the planner predicted work
-        there that never happened.
-        """
-        stages: list[dict] = []
-        self.last_stages = stages
-
-        def capture(index: int, rows: int, probes: int) -> None:
-            est = estimates[index]
-            stages.append({
-                "literal": format_literal(est.literal),
-                "kind": est.kind,
-                "est_rows": est.rows, "actual_rows": rows,
-                "est_probes": est.probes, "actual_probes": probes})
-
-        def fill_unreached(next_index: int) -> None:
-            for index in range(next_index, len(estimates)):
-                capture(index, 0, 0)
-
-        batch: Batch = [()]
-        for i, op in enumerate(pipeline.ops):
-            probes_before = stats.probes
-            if op.atom is None:
-                batch = op.run(batch, None, stats)
-            elif i == 0 and override is not None:
-                batch = op.run(batch, override, stats)
-            else:
-                batch = op.run(batch, store.resolve(op.atom), stats)
-            capture(i, len(batch), stats.probes - probes_before)
-            if not batch:
-                fill_unreached(i + 1)
                 return []
         fused = pipeline.fused
         if fused is not None:
             probes_before = stats.probes
             batch = fused.run(batch, store.resolve(fused.atom), stats)
-            capture(len(estimates) - 1, len(batch),
-                    stats.probes - probes_before)
+            if stages is not None:
+                stages.append(_stage(estimates[-1], len(batch),
+                                     stats.probes - probes_before))
             stats.firings += len(batch)
             return batch
         stats.firings += len(batch)
         head_of = pipeline.head_of
         return list(map(head_of, batch))
-
-    def execute(self, clause: Clause, store: "RelationStore",
-                stats: "EvalStats",
-                delta_index: Optional[int] = None,
-                delta: Optional[Relation] = None,
-                planner: Optional["ClausePlanner"] = None,
-                ) -> list[tuple[Value, ...]]:
-        """All head tuples derivable from one clause, as value tuples.
-
-        The contract matches ``list(seminaive.evaluate_clause(...))``:
-        same tuples, same ``probes``/``firings`` accounting, with
-        ``delta``/``delta_index`` substituting the delta relation for the
-        body literal at that source position (scheduled first).
-        """
-        decode_row = _POOL.decode_row
-        return [decode_row(coded) for coded in self.execute_coded(
-            clause, store, stats, delta_index=delta_index, delta=delta,
-            planner=planner)]

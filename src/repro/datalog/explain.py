@@ -23,6 +23,7 @@ from .parser import parse_program
 from .planner import ClausePlan, check_plan_mode, plan_body
 from .pretty import format_atom, format_clause, format_literal
 from .safety import binding_pattern, order_body
+from .seminaive import evaluate, recursive_positions, stratum_clauses
 from .stratify import stratify
 from .terms import Var
 from .trace import ClauseProfile, Profile, StageProfile
@@ -67,15 +68,9 @@ def explain_program(program: Union[str, Program]) -> str:
             lines.append(f"  {pred}[{','.join(map(str, sorted(group)))}]"
                          f" -> {bound}")
 
-    heads = program.head_predicates
-    for level, stratum in enumerate(strat.strata):
-        defined = sorted(stratum & heads)
-        if not defined:
-            continue
-        lines.append(f"stratum {level}: defines {', '.join(defined)}")
-        for clause in program.clauses:
-            if clause.head.pred not in stratum:
-                continue
+    for level, heads, clauses in stratum_clauses(program, strat):
+        lines.append(f"stratum {level}: defines {', '.join(sorted(heads))}")
+        for clause in clauses:
             lines.append(f"  {clause.head} :-")
             if not clause.body:
                 lines.append("    (fact)")
@@ -183,7 +178,6 @@ def explain_plan(program: Union[str, Program],
         note = "cardinalities from the input EDB (ID-relations not " \
                "materialized at plan time)"
     else:
-        from .seminaive import evaluate
         sizes, _ = evaluate(program, db, plan=plan)
         note = "cardinalities from the fixpoint on the given database"
 
@@ -197,15 +191,9 @@ def explain_plan(program: Union[str, Program],
         calls = sum(row.calls for row in recorded.values())
         lines.insert(2, "actuals: from recorded profile, summed over "
                         f"{calls} clause execution(s)")
-    heads = program.head_predicates
-    for level, stratum in enumerate(strat.strata):
-        defined = sorted(stratum & heads)
-        if not defined:
-            continue
-        lines.append(f"stratum {level}: defines {', '.join(defined)}")
-        for clause in program.clauses:
-            if clause.head.pred not in stratum:
-                continue
+    for level, heads, clauses in stratum_clauses(program, strat):
+        lines.append(f"stratum {level}: defines {', '.join(sorted(heads))}")
+        for clause in clauses:
             lines.append(f"  {clause.head} :-")
             if not clause.body:
                 lines.append("    (fact)")
@@ -213,16 +201,12 @@ def explain_plan(program: Union[str, Program],
             body_plan = plan_body(clause, resolver, mode=plan)
             lines.extend(_render_plan(body_plan, "    ",
                                       recorded.get(format_clause(clause))))
-            # Semi-naive delta variants: one per in-stratum positive
-            # relation literal, with that literal forced first.
-            for position, literal in enumerate(clause.body):
-                atom = literal.atom
-                if not (isinstance(atom, Atom) and literal.positive
-                        and not atom.is_builtin and not atom.is_id
-                        and atom.pred in stratum and atom.pred in heads):
-                    continue
+            # Semi-naive delta variants: the driver's own delta
+            # positions, each with its literal forced first.
+            for position in recursive_positions(clause, heads):
                 delta_plan = plan_body(clause, resolver,
-                                       first=literal, mode=plan)
+                                       first=clause.body[position],
+                                       mode=plan)
                 order = " -> ".join(
                     ("Δ" if i == 0 else "")
                     + (format_atom(est.literal.atom) if est.literal.positive

@@ -29,7 +29,7 @@ from .executor import BATCH, BatchExecutor, check_engine_mode
 from .planner import ClausePlanner
 from .safety import check_program
 from .seminaive import (EvalStats, RelationStore, evaluate_clause,
-                        evaluate_stratum, prepare_store)
+                        evaluate_stratum, prepare_store, stratum_clauses)
 from .stratify import stratify
 from .terms import Value
 from .trace import EV_INCREMENTAL, Tracer, resolve_tracer
@@ -109,15 +109,10 @@ class IncrementalEngine:
         planner = ClausePlanner("greedy", tracer=tracer)
         executor = BatchExecutor(tracer=tracer) \
             if self.engine == BATCH else None
-        heads = self.program.head_predicates
-        for level, stratum in enumerate(self.stratification.strata):
-            stratum_heads = frozenset(stratum & heads)
-            clauses = tuple(c for c in self.program.clauses
-                            if c.head.pred in stratum_heads)
-            if clauses:
-                evaluate_stratum(clauses, stratum_heads, store, stats,
-                                 planner=planner, executor=executor,
-                                 tracer=tracer, stratum=level)
+        for level, heads, clauses in stratum_clauses(self.program,
+                                                     self.stratification):
+            evaluate_stratum(clauses, heads, store, stats, planner=planner,
+                             executor=executor, tracer=tracer, stratum=level)
         self._store = store
         self.stats.merge(stats)
 

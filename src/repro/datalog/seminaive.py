@@ -7,6 +7,10 @@ builds IDLOG on (Theorem 1).  The evaluator is parameterized by an
 materialized ID-relations; plain Datalog evaluation passes no provider and
 rejects ID-atoms.
 
+Naive and semi-naive evaluation are one driver, :func:`evaluate_stratum`,
+with a different delta policy: semi-naive re-fires recursive clauses on
+the last round's deltas, naive re-fires every clause in full.
+
 Instrumentation is first-class: every evaluation fills an :class:`EvalStats`
 with tuples derived per predicate, clause firings, and join probes — the
 quantities the Section 4 optimization experiments report.
@@ -331,8 +335,8 @@ def evaluate_clause(clause: Clause, store: RelationStore, stats: EvalStats,
         yield _head_tuple(clause, subst)
 
 
-def _recursive_positions(clause: Clause,
-                         in_stratum: frozenset[str]) -> list[int]:
+def recursive_positions(clause: Clause,
+                        in_stratum: frozenset[str]) -> list[int]:
     """Source positions of positive in-stratum relation literals."""
     positions = []
     for i, literal in enumerate(clause.body):
@@ -343,13 +347,32 @@ def _recursive_positions(clause: Clause,
     return positions
 
 
+def stratum_clauses(program: Program, stratification: Stratification,
+                    ) -> list[tuple[int, frozenset[str], tuple[Clause, ...]]]:
+    """``(level, heads, clauses)`` for every stratum that defines something.
+
+    ``heads`` are the stratum's head predicates and ``clauses`` their
+    defining clauses in program order; strata holding only EDB predicates
+    are skipped, and ``level`` keeps the stratum's index for events.
+    """
+    heads = program.head_predicates
+    groups = []
+    for level, stratum in enumerate(stratification.strata):
+        stratum_heads = frozenset(stratum & heads)
+        clauses = tuple(c for c in program.clauses
+                        if c.head.pred in stratum_heads)
+        if clauses:
+            groups.append((level, stratum_heads, clauses))
+    return groups
+
+
 def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
                      store: RelationStore, stats: EvalStats,
                      max_iterations: Optional[int] = None,
                      planner: Optional[ClausePlanner] = None,
                      executor: Optional[BatchExecutor] = None,
                      tracer: Optional[Tracer] = None,
-                     stratum: int = 0) -> None:
+                     stratum: int = 0, naive: bool = False) -> None:
     """Run the least fixpoint of one stratum in place.
 
     ``heads`` is the set of predicates defined in this stratum; relations for
@@ -370,6 +393,10 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
             :mod:`repro.datalog.trace`); ``None`` keeps the hot path
             completely uninstrumented.
         stratum: Stratum index carried on emitted events.
+        naive: The delta policy.  Semi-naive (the default) re-fires only
+            recursive clauses, once per delta of an in-stratum body
+            literal; naive re-fires every clause in full.  Either way
+            the fixpoint ends at the first round that derives nothing.
     """
     deltas: dict[str, Relation] = {}
     if tracer is not None:
@@ -466,13 +493,14 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
                     delta_size=len(delta) if delta is not None else None,
                     stages=executor.last_stages if coded else None)
 
-    # Round 0: naive pass over every clause.  Derivations are buffered per
-    # clause so a recursive clause never mutates a relation it is scanning.
+    # Round 0: a full pass over every clause, under either policy.
+    # Derivations are buffered per clause so a recursive clause never
+    # mutates a relation it is scanning.
     stats.iterations += 1
     for clause in clauses:
         fire(clause, 0)
 
-    recursive = [(c, _recursive_positions(c, heads)) for c in clauses]
+    recursive = [(c, recursive_positions(c, heads)) for c in clauses]
     recursive = [(c, ps) for c, ps in recursive if ps]
 
     if coded and recursive:
@@ -484,7 +512,7 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
             store.relation(pred).drop_indexes()
 
     rounds = 0
-    if recursive:
+    if naive or recursive:
         while deltas:
             rounds += 1
             if max_iterations is not None and rounds > max_iterations:
@@ -494,6 +522,10 @@ def evaluate_stratum(clauses: tuple[Clause, ...], heads: frozenset[str],
                     "unboundedly many facts through arithmetic")
             stats.iterations += 1
             previous, deltas = deltas, {}
+            if naive:
+                for clause in clauses:
+                    fire(clause, rounds)
+                continue
             if coded:
                 # Wrap each pred's fresh-row list once per round so every
                 # clause consuming it shares lazily-built columns/indexes.
@@ -582,33 +614,8 @@ def evaluate(program: Program, db: Database,
         The database of all relations (EDB views plus computed IDB) and the
         evaluation statistics.
     """
-    check_engine_mode(engine)
-    tracer = resolve_tracer(tracer)
-    strat = stratification or stratify(program)
-    stats = EvalStats()
-    store = prepare_store(program, db, id_provider, stats)
-    planner = ClausePlanner(plan, tracer=tracer)
-    executor = BatchExecutor(tracer=tracer) if engine == BATCH else None
-    heads = program.head_predicates
-    if tracer is not None:
-        start = perf_counter()
-        tracer.emit(EV_EVAL_START, program=program.name, plan=plan,
-                    engine=engine, strata=strat.depth)
-    for level, stratum in enumerate(strat.strata):
-        stratum_heads = frozenset(stratum & heads)
-        clauses = tuple(c for c in program.clauses
-                        if c.head.pred in stratum_heads)
-        if clauses:
-            evaluate_stratum(clauses, stratum_heads, store, stats,
-                             max_iterations, planner=planner,
-                             executor=executor, tracer=tracer,
-                             stratum=level)
-    if tracer is not None:
-        tracer.emit(EV_EVAL_END, program=program.name,
-                    wall_s=perf_counter() - start,
-                    derived=stats.total_derived, probes=stats.probes,
-                    firings=stats.firings, iterations=stats.iterations)
-    return store.as_database(db.udomain | program.u_constants()), stats
+    return _evaluate(program, db, id_provider, stratification,
+                     max_iterations, plan, engine, tracer, naive=False)
 
 
 def evaluate_naive(program: Program, db: Database,
@@ -623,70 +630,32 @@ def evaluate_naive(program: Program, db: Database,
     derived.  Slower than :func:`evaluate` but trivially correct; the test
     suite cross-checks the two on random programs.
     """
+    return _evaluate(program, db, id_provider, None, None, plan, engine,
+                     tracer, naive=True)
+
+
+def _evaluate(program: Program, db: Database,
+              id_provider: Optional[IdProvider],
+              stratification: Optional[Stratification],
+              max_iterations: Optional[int], plan: str, engine: str,
+              tracer: Optional[Tracer], naive: bool,
+              ) -> tuple[Database, EvalStats]:
     check_engine_mode(engine)
     tracer = resolve_tracer(tracer)
-    strat = stratify(program)
+    strat = stratification or stratify(program)
     stats = EvalStats()
     store = prepare_store(program, db, id_provider, stats)
     planner = ClausePlanner(plan, tracer=tracer)
     executor = BatchExecutor(tracer=tracer) if engine == BATCH else None
-    heads = program.head_predicates
     if tracer is not None:
         start = perf_counter()
         tracer.emit(EV_EVAL_START, program=program.name, plan=plan,
-                    engine=engine, strata=strat.depth, naive=True)
-    for level, stratum in enumerate(strat.strata):
-        stratum_heads = frozenset(stratum & heads)
-        clauses = tuple(c for c in program.clauses
-                        if c.head.pred in stratum_heads)
-        if not clauses:
-            continue
-        if tracer is not None:
-            planner.stratum = level
-            if executor is not None:
-                executor.stratum = level
-            stratum_start = perf_counter()
-            tracer.emit(EV_STRATUM_START, stratum=level,
-                        heads=tuple(sorted(stratum_heads)))
-        changed = True
-        rounds = 0
-        while changed:
-            changed = False
-            rounds += 1
-            stats.iterations += 1
-            for clause in clauses:
-                if tracer is not None:
-                    probes_before = stats.probes
-                    firings_before = stats.firings
-                    clause_start = perf_counter()
-                if executor is not None:
-                    rows = executor.execute(clause, store, stats,
-                                            planner=planner)
-                else:
-                    rows = list(evaluate_clause(clause, store, stats,
-                                                planner=planner))
-                new = 0
-                for row in rows:
-                    if store.relation(clause.head.pred).add(row):
-                        stats.count_derived(clause.head.pred)
-                        new += 1
-                        changed = True
-                if tracer is not None:
-                    tracer.emit(
-                        EV_CLAUSE_FIRE, clause=format_clause(clause),
-                        stratum=level, round=rounds - 1, delta_index=None,
-                        wall_s=perf_counter() - clause_start,
-                        probes=stats.probes - probes_before,
-                        firings=stats.firings - firings_before,
-                        new=new, delta_size=None,
-                        stages=executor.last_stages
-                        if executor is not None else None)
-        if tracer is not None:
-            tracer.emit(
-                EV_STRATUM_END, stratum=level, rounds=rounds,
-                wall_s=perf_counter() - stratum_start,
-                cardinalities={pred: len(store.relation(pred))
-                               for pred in sorted(stratum_heads)})
+                    engine=engine, strata=strat.depth,
+                    **({"naive": True} if naive else {}))
+    for level, heads, clauses in stratum_clauses(program, strat):
+        evaluate_stratum(clauses, heads, store, stats, max_iterations,
+                         planner=planner, executor=executor, tracer=tracer,
+                         stratum=level, naive=naive)
     if tracer is not None:
         tracer.emit(EV_EVAL_END, program=program.name,
                     wall_s=perf_counter() - start,

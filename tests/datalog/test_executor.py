@@ -12,6 +12,7 @@ from repro.datalog.database import Database, Relation
 from repro.datalog.executor import (BATCH, ENGINE_MODES, INTERP,
                                     BatchExecutor, check_engine_mode)
 from repro.datalog.parser import parse_program
+from repro.datalog.pool import GLOBAL_POOL
 from repro.datalog.seminaive import (EvalStats, evaluate, evaluate_clause,
                                      prepare_store)
 from repro.errors import EvaluationError, SchemaError
@@ -21,6 +22,12 @@ def single_clause(text):
     program = parse_program(text)
     assert len(program.clauses) == 1
     return program, program.clauses[0]
+
+
+def execute(clause, store, stats, **kwargs):
+    """Run one clause through the batch executor, decoded to values."""
+    return [GLOBAL_POOL.decode_row(row) for row in
+            BatchExecutor().execute_coded(clause, store, stats, **kwargs)]
 
 
 def run_both(text, facts, delta_index=None, delta=None):
@@ -34,9 +41,8 @@ def run_both(text, facts, delta_index=None, delta=None):
         stats = EvalStats()
         store = prepare_store(program, db, None, stats)
         if mode == "batch":
-            rows = BatchExecutor().execute(
-                clause, store, stats,
-                delta_index=delta_index, delta=delta)
+            rows = execute(clause, store, stats,
+                           delta_index=delta_index, delta=delta)
         else:
             rows = list(evaluate_clause(
                 clause, store, stats,
@@ -71,6 +77,7 @@ class TestAgainstInterpreter:
             "p(X) :- q(X).", {"q": [("a",), ("b",)]})
         assert batch == interp == [("a",), ("b",)]
         assert bs.probes == is_.probes
+        assert bs.firings == is_.firings
 
     def test_join(self):
         batch, interp, (bs, is_) = run_both(
@@ -78,6 +85,7 @@ class TestAgainstInterpreter:
             {"e": [("a", "b"), ("b", "c"), ("b", "d")]})
         assert batch == interp == [("a", "c"), ("a", "d")]
         assert bs.probes == is_.probes
+        assert bs.firings == is_.firings
 
     def test_empty_relation_gives_empty_batch(self):
         program, clause = single_clause("p(X) :- q(X), r(X).")
@@ -86,7 +94,7 @@ class TestAgainstInterpreter:
         db.add_relation("r", Relation(1, tuples=[("a",)]))
         stats = EvalStats()
         store = prepare_store(program, db, None, stats)
-        assert BatchExecutor().execute(clause, store, stats) == []
+        assert execute(clause, store, stats) == []
         # The empty scan still charges its floor-of-one probe, and the
         # pipeline stops before probing r.
         assert stats.probes == 1
@@ -105,6 +113,7 @@ class TestAgainstInterpreter:
             {"q": [("a", "b"), ("c", "d")], "r": [("a", "b")]})
         assert batch == interp == [("a", "b")]
         assert bs.probes == is_.probes
+        assert bs.firings == is_.firings
 
     def test_constants_in_body_and_head(self):
         batch, interp, _ = run_both(
@@ -118,6 +127,7 @@ class TestAgainstInterpreter:
             {"node": [("a",), ("b",)], "linked": [("a",)]})
         assert batch == interp == [("b",)]
         assert bs.probes == is_.probes
+        assert bs.firings == is_.firings
 
     def test_builtin_filter(self):
         batch, interp, _ = run_both(
@@ -149,8 +159,8 @@ class TestAgainstInterpreter:
             stats = EvalStats()
             store = prepare_store(program, db, None, stats)
             if mode == "batch":
-                rows = BatchExecutor().execute(
-                    clause, store, stats, delta_index=1, delta=delta)
+                rows = execute(clause, store, stats,
+                               delta_index=1, delta=delta)
             else:
                 rows = list(evaluate_clause(
                     clause, store, stats, delta_index=1, delta=delta))
@@ -165,8 +175,8 @@ class TestAgainstInterpreter:
                                   "path": [("a", "b")]})
         stats = EvalStats()
         store = prepare_store(program, db, None, stats)
-        rows = BatchExecutor().execute(
-            clause, store, stats, delta_index=1, delta=Relation(2))
+        rows = execute(clause, store, stats,
+                       delta_index=1, delta=Relation(2))
         assert rows == []
 
 

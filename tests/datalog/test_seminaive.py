@@ -189,6 +189,33 @@ class TestStats:
         _, naive = evaluate_naive(TC, db)
         assert semi.probes < naive.probes
 
+    # Counters of the naive policy, pinned so the evaluator core can be
+    # refactored without moving them.  TC runs a 10-edge chain; the
+    # two-stratum program is TC plus ``lone`` over its negation.
+    NAIVE_CASES = {
+        "tc-chain": ("""
+            path(X, Y) :- edge(X, Y).
+            path(X, Y) :- edge(X, Z), path(Z, Y).
+        """, {"edge": [(f"n{i}", f"n{i+1}") for i in range(10)]},
+            (10, 540, 430, {"path": 55})),
+        "two-strata": ("""
+            path(X, Y) :- edge(X, Y).
+            path(X, Y) :- edge(X, Z), path(Z, Y).
+            lone(X) :- node(X), not path(X, X).
+        """, {"edge": [("a", "b"), ("b", "c"), ("c", "a"), ("d", "d")],
+              "node": [("a",), ("b",), ("c",), ("d",), ("e",)]},
+            (5, 65, 35, {"path": 10, "lone": 1})),
+    }
+
+    @pytest.mark.parametrize("engine", ["batch", "interp"])
+    @pytest.mark.parametrize("case", sorted(NAIVE_CASES))
+    def test_naive_counters_pinned(self, case, engine):
+        text, facts, expected = self.NAIVE_CASES[case]
+        _, stats = evaluate_naive(parse_program(text),
+                                  Database.from_facts(facts), engine=engine)
+        assert (stats.iterations, stats.probes, stats.firings,
+                stats.derived) == expected
+
     def test_plan_counters(self):
         # Long enough for two delta rounds, so the compiled delta plan is
         # actually reused (a 2-edge chain converges in one round).

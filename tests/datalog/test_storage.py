@@ -59,6 +59,48 @@ class TestRoundTrip:
         assert load_database(directory).snapshot() == db.snapshot()
 
 
+class TestLegacyFormat:
+    """Format 1 (value-level CSVs, no ``format`` key) is load-only."""
+
+    def write_legacy(self, directory):
+        directory.mkdir()
+        (directory / SCHEMA_FILE).write_text(json.dumps({
+            "relations": {"emp": {"arity": 2, "type": "00"},
+                          "score": {"arity": 2, "type": "01"},
+                          "ghost": {"arity": 3, "type": "000"}},
+            "udomain": ["ann", "bob", "it", "spare", "toys"]}))
+        (directory / "emp.csv").write_text("ann,toys\nbob,it\n")
+        (directory / "score.csv").write_text("ann,10\nbob,7\n")
+        (directory / "ghost.csv").write_text("")
+
+    def test_loads_to_expected_snapshot(self, tmp_path):
+        directory = tmp_path / "legacy"
+        self.write_legacy(directory)
+        back = load_database(str(directory))
+        expected = sample_db()
+        expected.add_relation("ghost", Relation(3))
+        assert back.snapshot() == expected.snapshot()
+        assert back.udomain == expected.udomain
+        assert ("ann", 10) in back.relation("score")
+        assert back.relation("ghost").arity == 3
+
+    def test_directory_stats_reads_it(self, tmp_path):
+        directory = tmp_path / "legacy"
+        self.write_legacy(directory)
+        report = directory_stats(str(directory))
+        assert report["format"] == 1
+        assert report["relation_count"] == 3
+        assert {name: info["rows"]
+                for name, info in report["relations"].items()} == {
+            "emp": 2, "score": 2, "ghost": 0}
+        assert report["udomain_size"] == 5
+
+    def test_save_writes_format_two(self, tmp_path):
+        directory = tmp_path / "snap"
+        save_database(sample_db(), str(directory))
+        assert directory_stats(str(directory))["format"] == 2
+
+
 class TestErrors:
     def test_missing_schema_file(self, tmp_path):
         with pytest.raises(SchemaError):

@@ -18,7 +18,7 @@ from repro.core import IdlogEngine
 from repro.datalog import (
     CallbackTracer, Database, EvalStats, IncrementalEngine, JsonTracer,
     NullTracer, TeeTracer, TimingTracer, TopDownEngine, current_tracer,
-    evaluate, format_profile, parse_program, use_tracer)
+    evaluate, evaluate_naive, format_profile, parse_program, use_tracer)
 from repro.datalog.trace import (CONTEXT_FIELDS, MISESTIMATE_THRESHOLD,
                                  SCHEMA_VERSION, ContextTracer,
                                  q_error, resolve_tracer)
@@ -69,14 +69,26 @@ class TestEventStream:
         assert ends[1].get("cardinalities") == {"lone": 1}
         assert ends[0].get("stratum") == 0
 
-    def test_clause_fire_deltas_sum_to_stats_totals(self):
+    @pytest.mark.parametrize("evaluator", [evaluate, evaluate_naive],
+                             ids=["evaluate", "evaluate_naive"])
+    def test_clause_fire_deltas_sum_to_stats_totals(self, evaluator):
         tracer = CallbackTracer()
-        _, stats = evaluate(parse_program(STRATIFIED), graph_db(),
-                            tracer=tracer)
+        _, stats = evaluator(parse_program(STRATIFIED), graph_db(),
+                             tracer=tracer)
         fires = [e for e in tracer.events if e.kind == "clause_fire"]
         assert sum(e.get("probes") for e in fires) == stats.probes
         assert sum(e.get("firings") for e in fires) == stats.firings
         assert sum(e.get("new") for e in fires) == stats.total_derived
+
+    @pytest.mark.parametrize("evaluator", [evaluate, evaluate_naive],
+                             ids=["evaluate", "evaluate_naive"])
+    def test_stratum_rounds_sum_to_iterations(self, evaluator):
+        # Both delta policies count every pass, the last (empty) one too.
+        tracer = CallbackTracer()
+        _, stats = evaluator(parse_program(STRATIFIED), graph_db(),
+                             tracer=tracer)
+        ends = [e for e in tracer.events if e.kind == "stratum_end"]
+        assert sum(e.get("rounds") for e in ends) == stats.iterations
 
     def test_round_events_count_iterations(self):
         tracer = CallbackTracer()
@@ -150,23 +162,23 @@ class TestEventStream:
 class TestTracingIsPure:
     """Tracing on vs off: identical relations and identical counters."""
 
-    def assert_same(self, plan, engine):
+    @pytest.mark.parametrize("evaluator, engine, plan", [
+        pytest.param(evaluator, engine, plan, id=f"{prefix}{engine}-{plan}")
+        for evaluator, prefix in ((evaluate, ""), (evaluate_naive, "naive-"))
+        for engine in ("batch", "interp")
+        for plan in ("cost", "greedy")])
+    def test_differential_all_modes(self, evaluator, engine, plan):
         program = parse_program(STRATIFIED)
-        plain_db, plain_stats = evaluate(program, graph_db(),
-                                         plan=plan, engine=engine)
+        plain_db, plain_stats = evaluator(program, graph_db(),
+                                          plan=plan, engine=engine)
         tracer = CallbackTracer()
-        traced_db, traced_stats = evaluate(program, graph_db(), plan=plan,
-                                           engine=engine, tracer=tracer)
+        traced_db, traced_stats = evaluator(program, graph_db(), plan=plan,
+                                            engine=engine, tracer=tracer)
         for pred in ("path", "lone"):
             assert plain_db.relation(pred).frozen() \
                 == traced_db.relation(pred).frozen()
         assert plain_stats == traced_stats
         assert tracer.events  # the traced run did emit
-
-    @pytest.mark.parametrize("plan", ["greedy", "cost"])
-    @pytest.mark.parametrize("engine", ["batch", "interp"])
-    def test_differential_all_modes(self, plan, engine):
-        self.assert_same(plan, engine)
 
     def test_idlog_answers_unchanged_under_tracing(self):
         program = "pick(X) :- item[](X, 0)."
