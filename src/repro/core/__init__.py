@@ -15,16 +15,16 @@ Public surface:
 from .assignment import (AssignmentStrategy, CanonicalAssignment,
                          OracleAssignment, RandomAssignment)
 from .choicelog import (ChoiceDivergence, ChoiceLog, ChoiceRecord,
-                        DivergenceReport, block_digest, choice_records,
-                        diverge, format_divergence)
+                        DivergenceReport, ReplayAssignment, block_digest,
+                        choice_records, diverge, format_divergence)
 from .dbp import UDOM_PREDICATE, database_program, strip_database_program
-from .engine import IdlogEngine, ReplayIdProvider
-from .idrelations import (Grouping, IdFunction, canonical_id_function,
-                          count_id_functions, enumerate_id_functions,
-                          group_key, id_function_orderings, id_relations_of,
+from .engine import IdlogEngine
+from .idrelations import (Grouping, IdDraw, IdFunction,
+                          canonical_id_function, count_id_functions,
+                          enumerate_id_functions, group_key, id_relations_of,
                           make_id_relation, ordering_to_id_function,
-                          random_id_function, sub_relations,
-                          validate_id_function)
+                          random_id_function, read_id_function,
+                          sub_relations, validate_id_function)
 from .models import (IdlogInterpretation, check_interpretation, is_model,
                      is_perfect_model, perfect_models)
 from .program import IdlogProgram, compute_tid_limits
@@ -36,14 +36,15 @@ __all__ = [
     "IdlogInterpretation", "check_interpretation", "is_model",
     "is_perfect_model", "perfect_models",
     "AssignmentStrategy", "CanonicalAssignment", "OracleAssignment",
-    "RandomAssignment",
-    "IdlogEngine", "ReplayIdProvider",
+    "RandomAssignment", "ReplayAssignment",
+    "IdlogEngine",
     "ChoiceDivergence", "ChoiceLog", "ChoiceRecord", "DivergenceReport",
     "block_digest", "choice_records", "diverge", "format_divergence",
-    "Grouping", "IdFunction", "canonical_id_function", "count_id_functions",
-    "enumerate_id_functions", "group_key", "id_function_orderings",
+    "Grouping", "IdDraw", "IdFunction", "canonical_id_function",
+    "count_id_functions", "enumerate_id_functions", "group_key",
     "id_relations_of", "make_id_relation", "ordering_to_id_function",
-    "random_id_function", "sub_relations", "validate_id_function",
+    "random_id_function", "read_id_function", "sub_relations",
+    "validate_id_function",
     "IdlogProgram", "compute_tid_limits",
     "Answer", "IdlogQuery", "answers_equal", "permute_answer",
     "permute_database",

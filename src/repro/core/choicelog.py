@@ -17,8 +17,11 @@ captured.  This module is the nondeterminism audit trail:
   their answer snapshots), report the first differing ID choice per
   ``(pred, grouping, block)`` and attribute the downstream answer-set
   delta to it.
+* :class:`ReplayAssignment` — replay as an assignment strategy: drift
+  checks on the base relation's one partition, then the recorded orderings.
 
-Recording is wired into the engine's ID-providers
+Records are read off the strategy's draw, so recording partitions nothing
+again.  Recording is wired into the engine's ID-provider
 (:class:`~repro.core.engine.IdlogEngine` ``run(record=...)`` /
 ``one(record=...)``), replay into
 :meth:`~repro.core.engine.IdlogEngine.replay`; the CLI surfaces both as
@@ -35,8 +38,8 @@ from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 from ..datalog.database import Relation
 from ..datalog.trace import EV_ID_CHOICE, SCHEMA_VERSION
-from ..errors import ReproError
-from .idrelations import (Grouping, IdFunction, id_function_orderings,
+from ..errors import ReplayError, ReproError
+from .idrelations import (Grouping, IdDraw, IdFunction, read_id_function,
                           sub_relations)
 
 
@@ -104,16 +107,19 @@ def choice_records(pred: str, group: Grouping, base: Relation,
 
     Blocks are emitted in deterministic (repr-sorted key) order, so two
     logs of the same decisions are comparable line by line regardless of
-    relation iteration order.
+    relation iteration order.  A draw is read as is; a plain tid map is
+    read onto a fresh partition of ``base``.
     """
-    blocks = sub_relations(base, group)
-    orderings = id_function_orderings(base, group, id_function, limit)
+    draw = id_function if isinstance(id_function, IdDraw) \
+        else read_id_function(sub_relations(base, group), id_function, limit)
+    blocks = draw.blocks
     gtuple = tuple(sorted(group))
     return [
         ChoiceRecord(pred=pred, group=gtuple, block=key,
                      block_digest=block_digest(blocks[key]),
                      block_size=len(blocks[key]),
-                     ordering=orderings[key], tid_limit=limit)
+                     ordering=tuple(draw.orderings[key][:limit]),
+                     tid_limit=limit)
         for key in sorted(blocks, key=repr)]
 
 
@@ -361,6 +367,71 @@ class ChoiceLog:
                 handle.close()
 
 
+class ReplayAssignment:
+    """Assignment strategy re-applying a recorded :class:`ChoiceLog`.
+
+    Deterministic replay with drift diagnosis: every block of every base
+    relation is checked against the digest the log recorded.  When the
+    database (or an earlier stratum's output) no longer matches, the
+    raised :class:`~repro.errors.ReplayError` names the exact
+    ``(pred, grouping, block)`` site and the expected vs. found digest —
+    a replay never silently produces a different model.
+    """
+
+    def __init__(self, log: ChoiceLog) -> None:
+        self.log = log
+        #: The recorded tid limit per ``(pred, grouping)`` pair.
+        self.limits = {(pred, frozenset(group)): log.limit_for(pred, group)
+                       for pred, group in log.groupings()}
+
+    def id_function(self, pred: str, group: Grouping,
+                    base: Relation) -> IdDraw:
+        label = f"{pred}[{','.join(map(str, sorted(group)))}]"
+        recorded = self.log.records_for(pred, group)
+        blocks = sub_relations(base, group)
+        if recorded is None:
+            if blocks:
+                raise ReplayError(
+                    f"choice log holds no decision for {label} but the "
+                    f"program needs one ({len(blocks)} block(s)); the "
+                    "program or database gained an ID-relation the "
+                    "recorded run never materialized")
+            recorded = {}
+        missing = sorted(set(recorded) - set(blocks), key=repr)
+        extra = sorted(set(blocks) - set(recorded), key=repr)
+        if missing or extra:
+            bits = []
+            if missing:
+                bits.append("recorded block(s) no longer present: "
+                            + ", ".join(map(repr, missing[:3]))
+                            + ("…" if len(missing) > 3 else ""))
+            if extra:
+                bits.append("new block(s) absent from the log: "
+                            + ", ".join(map(repr, extra[:3]))
+                            + ("…" if len(extra) > 3 else ""))
+            raise ReplayError(
+                f"database drifted under {label}: " + "; ".join(bits))
+        orderings: dict[tuple, tuple[tuple, ...]] = {}
+        for key in sorted(blocks, key=repr):
+            rec = recorded[key]
+            found = block_digest(blocks[key])
+            if found != rec.block_digest:
+                raise ReplayError(
+                    f"database drifted under {label}: block {key!r} "
+                    f"digests {found} but the log expected "
+                    f"{rec.block_digest} (found {len(blocks[key])} "
+                    f"tuple(s), recorded {rec.block_size})")
+            members = set(blocks[key])
+            stray = [row for row in rec.ordering if row not in members]
+            if stray:
+                raise ReplayError(
+                    f"choice log is corrupt: {label} block {key!r} "
+                    f"ordering lists {stray[0]!r}, which is not in the "
+                    "block despite a matching digest")
+            orderings[key] = rec.ordering
+        return IdDraw(blocks, orderings)
+
+
 # -- the divergence differ ---------------------------------------------------
 
 #: Divergence kinds, from "the runs chose differently" to "the runs saw
@@ -535,6 +606,6 @@ def format_divergence(report: DivergenceReport,
 
 __all__ = [
     "EV_ID_CHOICE", "ChoiceRecord", "ChoiceLog", "ChoiceDivergence",
-    "DivergenceReport", "block_digest", "choice_records", "diverge",
-    "format_divergence",
+    "DivergenceReport", "ReplayAssignment", "block_digest",
+    "choice_records", "diverge", "format_divergence",
 ]

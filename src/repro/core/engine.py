@@ -12,7 +12,12 @@ non-determinism:
 * ``one`` — seeded random assignment: *one arbitrary answer* of the query,
 * ``answers`` — exhaustive enumeration of the full answer set, branching
   over every ID-function at every stratum (exact on example-scale inputs;
-  guarded against explosion).
+  guarded against explosion),
+* ``replay`` — the orderings a recorded choice log captured.
+
+``run``, ``one`` and ``replay`` share one ID-provider, which builds the
+ID-relation and its events from the strategy's draw: one partition of the
+base relation per materialization.
 
 The group-limit optimization (Section 4 / footnotes 6–7) is applied
 automatically: when every use of ``p[s]`` bounds its tid below ``k``, only
@@ -36,29 +41,34 @@ from ..datalog.seminaive import (EvalStats, RelationStore, evaluate_stratum,
                                  prepare_store, stratum_clauses)
 from ..datalog.trace import (EV_EVAL_END, EV_EVAL_START, EV_ID_CHOICE,
                              EV_ID_MATERIALIZED, Tracer, resolve_tracer)
-from ..errors import EvaluationError, ReplayError
+from ..errors import EvaluationError
 from .assignment import (AssignmentStrategy, CanonicalAssignment,
-                         RandomAssignment)
-from .choicelog import ChoiceLog, block_digest, choice_records
-from .idrelations import (Grouping, count_id_functions,
+                         OracleAssignment, RandomAssignment)
+from .choicelog import ChoiceLog, ReplayAssignment, choice_records
+from .idrelations import (Grouping, IdDraw, count_id_functions,
                           enumerate_id_functions, make_id_relation,
-                          sub_relations)
+                          read_id_function, sub_relations)
 from .program import IdlogProgram
 
 
 class _StrategyIdProvider:
-    """IdProvider backed by an assignment strategy plus tid limits."""
+    """IdProvider backed by an assignment strategy plus tid limits.
+
+    A supplied tid map (an oracle's, or any that is not an ``IdDraw``) is
+    read onto the base's partition here, rejecting non-bijective blocks.
+    """
 
     def __init__(self, strategy: AssignmentStrategy,
                  limits: dict[tuple[str, Grouping], Optional[int]],
-                 use_limits: bool,
                  tracer: Optional[Tracer] = None,
                  record: Optional[ChoiceLog] = None) -> None:
         self._strategy = strategy
         self._limits = limits
-        self._use_limits = use_limits
         self._tracer = tracer
         self._record = record
+        # Replay re-emits the log's decisions, marked as replayed.
+        self._event_fields = {"replayed": True} \
+            if isinstance(strategy, ReplayAssignment) else {}
         #: Everything materialized so far (exposed on EvalResult).
         self.materialized: dict[tuple[str, Grouping], Relation] = {}
 
@@ -66,29 +76,31 @@ class _StrategyIdProvider:
                     base: Relation, stats: EvalStats) -> Relation:
         if self._tracer is not None:
             start = perf_counter()
-        id_function = self._strategy.id_function(pred, group, base)
-        limit = self._limits.get((pred, group)) if self._use_limits else None
-        relation = make_id_relation(base, id_function, limit)
+        limit = self._limits.get((pred, group))
+        draw = self._strategy.id_function(pred, group, base)
+        # A supplied table entry may be a draw of some other relation.
+        if not isinstance(draw, IdDraw) \
+                or isinstance(self._strategy, OracleAssignment):
+            draw = read_id_function(sub_relations(base, group), draw, limit)
+        relation = make_id_relation(base, draw, limit)
         stats.id_tuples += len(relation)
         self.materialized[(pred, group)] = relation
         # The no-record, no-tracer hot path ends here: the audit records
         # are only ever constructed when someone is listening.
-        if self._record is not None or self._tracer is not None:
-            if self._record is not None:
-                records = self._record.record_assignment(
-                    pred, group, base, id_function, limit)
-            else:
-                records = choice_records(pred, group, base, id_function,
-                                         limit)
-            if self._tracer is not None:
-                for rec in records:
-                    self._tracer.emit(EV_ID_CHOICE,
-                                      **rec.as_event_fields())
+        if self._record is not None:
+            records = self._record.record_assignment(
+                pred, group, base, draw, limit)
+        elif self._tracer is not None:
+            records = choice_records(pred, group, base, draw, limit)
         if self._tracer is not None:
+            for rec in records:
+                self._tracer.emit(EV_ID_CHOICE, **self._event_fields,
+                                  **rec.as_event_fields())
             self._tracer.emit(
                 EV_ID_MATERIALIZED, pred=pred, group=sorted(group),
                 base_size=len(base), id_tuples=len(relation),
-                tid_limit=limit, wall_s=perf_counter() - start)
+                tid_limit=limit, **self._event_fields,
+                wall_s=perf_counter() - start)
         return relation
 
 
@@ -106,87 +118,6 @@ class _FixedIdProvider:
                 f"enumeration branch is missing the ID-relation for "
                 f"{pred}[{sorted(group)}]")
         stats.id_tuples += len(relation)
-        return relation
-
-
-class ReplayIdProvider:
-    """IdProvider re-applying a recorded :class:`ChoiceLog`.
-
-    Deterministic replay with drift diagnosis: every block of every base
-    relation is checked against the digest the log recorded.  When the
-    database (or an earlier stratum's output) no longer matches, the
-    raised :class:`~repro.errors.ReplayError` names the exact
-    ``(pred, grouping, block)`` site and the expected vs. found digest —
-    a replay never silently produces a different model.
-    """
-
-    def __init__(self, log: ChoiceLog,
-                 tracer: Optional[Tracer] = None) -> None:
-        self._log = log
-        self._tracer = tracer
-        #: Everything materialized so far (exposed on EvalResult).
-        self.materialized: dict[tuple[str, Grouping], Relation] = {}
-
-    def materialize(self, pred: str, group: Grouping,
-                    base: Relation, stats: EvalStats) -> Relation:
-        if self._tracer is not None:
-            start = perf_counter()
-        label = f"{pred}[{','.join(map(str, sorted(group)))}]"
-        recorded = self._log.records_for(pred, group)
-        blocks = sub_relations(base, group)
-        if recorded is None:
-            if blocks:
-                raise ReplayError(
-                    f"choice log holds no decision for {label} but the "
-                    f"program needs one ({len(blocks)} block(s)); the "
-                    "program or database gained an ID-relation the "
-                    "recorded run never materialized")
-            recorded = {}
-        missing = sorted(set(recorded) - set(blocks), key=repr)
-        extra = sorted(set(blocks) - set(recorded), key=repr)
-        if missing or extra:
-            bits = []
-            if missing:
-                bits.append("recorded block(s) no longer present: "
-                            + ", ".join(map(repr, missing[:3]))
-                            + ("…" if len(missing) > 3 else ""))
-            if extra:
-                bits.append("new block(s) absent from the log: "
-                            + ", ".join(map(repr, extra[:3]))
-                            + ("…" if len(extra) > 3 else ""))
-            raise ReplayError(
-                f"database drifted under {label}: " + "; ".join(bits))
-        mapping: dict[tuple, int] = {}
-        limit = self._log.limit_for(pred, group)
-        for key in sorted(blocks, key=repr):
-            rec = recorded[key]
-            found = block_digest(blocks[key])
-            if found != rec.block_digest:
-                raise ReplayError(
-                    f"database drifted under {label}: block {key!r} "
-                    f"digests {found} but the log expected "
-                    f"{rec.block_digest} (found {len(blocks[key])} "
-                    f"tuple(s), recorded {rec.block_size})")
-            members = set(blocks[key])
-            for tid, row in enumerate(rec.ordering):
-                if row not in members:
-                    raise ReplayError(
-                        f"choice log is corrupt: {label} block {key!r} "
-                        f"ordering lists {row!r}, which is not in the "
-                        "block despite a matching digest")
-                mapping[row] = tid
-        relation = make_id_relation(base, mapping, limit)
-        stats.id_tuples += len(relation)
-        self.materialized[(pred, group)] = relation
-        if self._tracer is not None:
-            for rec in sorted(recorded.values(), key=lambda r: repr(r.block)):
-                self._tracer.emit(EV_ID_CHOICE, replayed=True,
-                                  **rec.as_event_fields())
-            self._tracer.emit(
-                EV_ID_MATERIALIZED, pred=pred, group=sorted(group),
-                base_size=len(base), id_tuples=len(relation),
-                tid_limit=limit, replayed=True,
-                wall_s=perf_counter() - start)
         return relation
 
 
@@ -295,10 +226,10 @@ class IdlogEngine:
                 with every ID-function decision the evaluation makes —
                 the audit trail :meth:`replay` re-applies.
         """
-        strategy = assignment or CanonicalAssignment()
         tracer = resolve_tracer(self.tracer)
         provider = _StrategyIdProvider(
-            strategy, self.compiled.tid_limits, self.use_group_limits,
+            assignment or CanonicalAssignment(),
+            self.compiled.tid_limits if self.use_group_limits else {},
             tracer=tracer, record=record)
         return self._evaluate(db, provider, tracer)
 
@@ -312,7 +243,9 @@ class IdlogEngine:
         contents no longer match the recorded digest.
         """
         tracer = resolve_tracer(self.tracer)
-        provider = ReplayIdProvider(log, tracer=tracer)
+        strategy = ReplayAssignment(log)
+        provider = _StrategyIdProvider(strategy, strategy.limits,
+                                       tracer=tracer)
         return self._evaluate(db, provider, tracer)
 
     def _evaluate(self, db: Database, provider, tracer) -> EvalResult:

@@ -17,6 +17,11 @@ optimization (when every use of ``p[s]`` constrains the tid below ``k``,
 only the k-prefix of each block's ordering matters, shrinking both the
 materialized relation and the enumeration space from ``k!`` to ``P(n, k)``
 per block).
+
+A draw (:class:`IdDraw`) is an ID-function that carries the one partition
+it was drawn on and its per-block orderings, so the ID-relation, the choice
+records and replay read it without partitioning again;
+:func:`read_id_function` reads a supplied tid map onto a partition.
 """
 
 from __future__ import annotations
@@ -36,6 +41,29 @@ Grouping = frozenset[int]
 IdFunction = Mapping[tuple[Value, ...], int]
 """An assignment of tids to base tuples (bijective within each block)."""
 
+Partition = dict[tuple, list[tuple[Value, ...]]]
+"""Grouping key -> the tuples of that block (see :func:`sub_relations`)."""
+
+
+class IdDraw(dict):
+    """An ID-function together with the partition it was drawn on.
+
+    The dict itself is the tid map, so a draw is an :data:`IdFunction`
+    wherever one is read.  ``blocks`` is the partition of the base
+    relation and ``orderings`` maps each block key to its tuples in tid
+    order (only the assigned prefix when the function is prefix-limited).
+    """
+
+    __slots__ = ("blocks", "orderings")
+
+    def __init__(self, blocks: Partition,
+                 orderings: Mapping[tuple, Sequence[tuple]]) -> None:
+        super().__init__()
+        for ordering in orderings.values():
+            self.update(zip(ordering, range(len(ordering))))
+        self.blocks = blocks
+        self.orderings = orderings
+
 
 def group_key(row: tuple[Value, ...], group: Grouping) -> tuple[Value, ...]:
     """The grouping key of a tuple: its values at ``group`` positions.
@@ -46,8 +74,7 @@ def group_key(row: tuple[Value, ...], group: Grouping) -> tuple[Value, ...]:
     return tuple(row[i - 1] for i in sorted(group))
 
 
-def sub_relations(base: Relation,
-                  group: Grouping) -> dict[tuple, list[tuple[Value, ...]]]:
+def sub_relations(base: Relation, group: Grouping) -> Partition:
     """Partition ``base`` into its sub-relations grouped by ``group``.
 
     Returns a mapping from grouping key to the tuples of that block, in a
@@ -57,12 +84,44 @@ def sub_relations(base: Relation,
         if not 1 <= i <= base.arity:
             raise SchemaError(
                 f"grouping position {i} outside 1..{base.arity}")
-    blocks: dict[tuple, list[tuple[Value, ...]]] = {}
+    blocks: Partition = {}
     for row in base:
         blocks.setdefault(group_key(row, group), []).append(row)
     for rows in blocks.values():
         rows.sort(key=lambda r: tuple(map(repr, r)))
     return blocks
+
+
+def read_id_function(blocks: Partition, id_function: IdFunction,
+                     limit: Optional[int] = None) -> IdDraw:
+    """Read a supplied tid map onto a partition of its base relation.
+
+    Each block's tids must be ``0..m-1`` without repeats, where ``m`` is
+    the block size or, under a tid limit, at least ``min(size, limit)`` —
+    the k-prefixes :func:`enumerate_id_functions` yields stay allowed.
+
+    Raises:
+        SchemaError: naming the block whose tids are not a bijection, or
+            the first tuple left without a tid.
+    """
+    orderings: Partition = {}
+    for key, rows in blocks.items():
+        assigned = sorted(
+            ((tid, row) for row in rows
+             if (tid := id_function.get(row)) is not None),
+            key=lambda pair: pair[0])
+        tids = [tid for tid, _ in assigned]
+        if tids != list(range(len(tids))):
+            raise SchemaError(
+                f"tids {tids} of block {key} are not a bijection onto "
+                f"0..{len(rows) - 1}")
+        if len(tids) < (len(rows) if limit is None
+                        else min(len(rows), limit)):
+            row = next(row for row in rows if row not in id_function)
+            raise SchemaError(
+                f"ID-function undefined on {row!r} of block {key}")
+        orderings[key] = [row for _, row in assigned]
+    return IdDraw(blocks, orderings)
 
 
 def validate_id_function(base: Relation, group: Grouping,
@@ -72,39 +131,31 @@ def validate_id_function(base: Relation, group: Grouping,
     block.
 
     Raises:
-        SchemaError: when the function is not a block-wise bijection.
+        SchemaError: when the function is not a block-wise bijection or
+            leaves a tuple without a tid.
     """
-    for key, rows in sub_relations(base, group).items():
-        tids = sorted(id_function[row] for row in rows)
-        if tids != list(range(len(rows))):
-            raise SchemaError(
-                f"tids {tids} of block {key} are not a bijection onto "
-                f"0..{len(rows) - 1}")
+    read_id_function(sub_relations(base, group), id_function)
 
 
-def canonical_id_function(base: Relation, group: Grouping) -> dict:
+def canonical_id_function(base: Relation, group: Grouping) -> IdDraw:
     """The deterministic ID-function: tids follow the sorted tuple order.
 
     Used as the default assignment so repeated evaluations of the same
     program on the same database agree.
     """
-    mapping: dict[tuple, int] = {}
-    for rows in sub_relations(base, group).values():
-        for tid, row in enumerate(rows):
-            mapping[row] = tid
-    return mapping
+    blocks = sub_relations(base, group)
+    return IdDraw(blocks, blocks)
 
 
 def random_id_function(base: Relation, group: Grouping,
-                       rng: random.Random) -> dict:
+                       rng: random.Random) -> IdDraw:
     """A uniformly random ID-function (independent shuffle per block)."""
-    mapping: dict[tuple, int] = {}
-    for rows in sub_relations(base, group).values():
-        shuffled = list(rows)
+    blocks = sub_relations(base, group)
+    orderings: Partition = {}
+    for key, rows in blocks.items():
+        orderings[key] = shuffled = list(rows)
         rng.shuffle(shuffled)
-        for tid, row in enumerate(shuffled):
-            mapping[row] = tid
-    return mapping
+    return IdDraw(blocks, orderings)
 
 
 def count_id_functions(base: Relation, group: Grouping,
@@ -124,7 +175,7 @@ def count_id_functions(base: Relation, group: Grouping,
 
 
 def enumerate_id_functions(base: Relation, group: Grouping,
-                           limit: Optional[int] = None) -> Iterator[dict]:
+                           limit: Optional[int] = None) -> Iterator[IdDraw]:
     """Yield every ID-function of ``base`` on ``group``.
 
     With ``limit`` k, yields every *distinct k-prefix*: functions are partial
@@ -132,20 +183,12 @@ def enumerate_id_functions(base: Relation, group: Grouping,
     exactly what a tid-limited materialization needs.  The number of yields
     matches :func:`count_id_functions`.
     """
-    blocks = list(sub_relations(base, group).values())
-    if not blocks:
-        yield {}
-        return
-    per_block: list[list[tuple[tuple, ...]]] = []
-    for rows in blocks:
-        take = len(rows) if limit is None else min(len(rows), limit)
-        per_block.append(list(permutations(rows, take)))
+    blocks = sub_relations(base, group)
+    per_block = [permutations(rows, len(rows) if limit is None
+                              else min(len(rows), limit))
+                 for rows in blocks.values()]
     for combo in product(*per_block):
-        mapping: dict[tuple, int] = {}
-        for ordering in combo:
-            for tid, row in enumerate(ordering):
-                mapping[row] = tid
-        yield mapping
+        yield IdDraw(blocks, dict(zip(blocks, combo)))
 
 
 def make_id_relation(base: Relation, id_function: IdFunction,
@@ -160,8 +203,9 @@ def make_id_relation(base: Relation, id_function: IdFunction,
             ID-predicate constrains the tid below ``limit``).
     """
     result = Relation(base.arity + 1)
+    tid_of = id_function.get
     for row in base:
-        tid = id_function.get(row)
+        tid = tid_of(row)
         if tid is None:
             if limit is None:
                 raise SchemaError(
@@ -183,31 +227,6 @@ def id_relations_of(base: Relation, group: Grouping,
     """
     for id_function in enumerate_id_functions(base, group, limit):
         yield make_id_relation(base, id_function, limit)
-
-
-def id_function_orderings(base: Relation, group: Grouping,
-                          id_function: IdFunction,
-                          limit: Optional[int] = None,
-                          ) -> dict[tuple, tuple[tuple, ...]]:
-    """Invert an ID-function into per-block tid orderings.
-
-    The inverse of :func:`ordering_to_id_function`: returns a mapping from
-    each block's grouping key to its tuples in tid order.  With ``limit``,
-    only the observable prefix (tids below the limit) is kept — exactly
-    the portion a tid-limited materialization realizes, and exactly what a
-    choice log needs to record for faithful replay.  Partial ID-functions
-    (enumeration prefixes) are handled: undefined tuples are simply absent
-    from the ordering.
-    """
-    out: dict[tuple, tuple[tuple, ...]] = {}
-    for key, rows in sub_relations(base, group).items():
-        assigned = sorted(
-            (tid, row) for row in rows
-            if (tid := id_function.get(row)) is not None)
-        if limit is not None:
-            assigned = [(tid, row) for tid, row in assigned if tid < limit]
-        out[key] = tuple(row for _, row in assigned)
-    return out
 
 
 def ordering_to_id_function(orderings: Sequence[Sequence[tuple]],

@@ -33,7 +33,7 @@ from ..datalog.seminaive import (EvalStats, RelationStore, _head_tuple,
                                  _solve_literals)
 from ..errors import EvaluationError, SchemaError
 from .engine import IdlogEngine, _FixedIdProvider
-from .idrelations import Grouping, sub_relations
+from .idrelations import Grouping, validate_id_function
 from .program import IdlogProgram
 
 
@@ -91,12 +91,10 @@ def check_interpretation(interp: IdlogInterpretation) -> None:
             raise SchemaError(
                 f"ID-relation for {pred}[{sorted(group)}] assigns several "
                 "tids to one tuple")
-        for key, block in sub_relations(base, group).items():
-            tids = sorted(tid_of[row] for row in block)
-            if tids != list(range(len(block))):
-                raise SchemaError(
-                    f"tids {tids} of {pred}[{sorted(group)}] block {key} "
-                    f"are not a bijection onto 0..{len(block) - 1}")
+        try:
+            validate_id_function(base, group, tid_of)
+        except SchemaError as exc:
+            raise SchemaError(f"{pred}[{sorted(group)}]: {exc}") from None
 
 
 def _store_of(interp: IdlogInterpretation,

@@ -2,7 +2,7 @@
 
 Covers the tentpole observability surface: recording choices during
 evaluation, byte-exact replay, drift diagnosis, JSONL round-trips
-(including loading a ``--trace`` file as a log), oracle reconstruction,
+(including loading a ``--trace`` file as a log), replay as a strategy,
 and the run-divergence differ.
 """
 
@@ -10,8 +10,9 @@ import io
 
 import pytest
 
-from repro.core import IdlogEngine, OracleAssignment
-from repro.core.choicelog import (ChoiceLog, ChoiceRecord, block_digest,
+from repro.core import IdlogEngine
+from repro.core.choicelog import (ChoiceLog, ChoiceRecord,
+                                  ReplayAssignment, block_digest,
                                   choice_records, diverge,
                                   format_divergence)
 from repro.core.idrelations import canonical_id_function
@@ -127,6 +128,14 @@ class TestRecordAndReplay:
         with pytest.raises(ReplayError, match="no longer present"):
             engine.replay(shrunk, log)
 
+    def test_replay_detects_a_corrupt_ordering(self):
+        engine, db, log, _ = record_run()
+        data = log.to_jsonable()
+        data["choices"][0]["ordering"][0] = ["nobody", "nowhere"]
+        with pytest.raises(ReplayError, match=r"corrupt: emp\[2\] block "
+                           r"\('shoes',\) ordering lists \('nobody'"):
+            engine.replay(db, ChoiceLog.from_jsonable(data))
+
     def test_replay_without_any_recording_fails_precisely(self):
         engine, db = IdlogEngine(SELECT_ONE), employees()
         empty = ChoiceLog()
@@ -208,11 +217,21 @@ class TestSerialization:
             ChoiceLog.load(io.StringIO('{"event": "round"}\n'))
 
 
-class TestOracleFromLog:
-    def test_oracle_reproduces_the_recorded_model(self):
+class TestReplayFromLog:
+    def test_replay_reproduces_the_recorded_model(self):
+        # A fresh engine and a round-tripped log still reproduce the
+        # model, down to the materialized ID-relation.
+        _, db, log, result = record_run()
+        restored = ChoiceLog.from_jsonable(log.to_jsonable())
+        again = IdlogEngine(SELECT_ONE).replay(db, restored)
+        assert again.tuples("select_emp") == result.tuples("select_emp")
+        assert {key: rel.frozen() for key, rel in again.id_relations.items()} \
+            == {key: rel.frozen() for key, rel in result.id_relations.items()}
+
+    def test_replay_strategy_runs_under_run(self):
+        # Replay is an assignment strategy like any other.
         engine, db, log, result = record_run()
-        oracle = OracleAssignment.from_choice_log(log)
-        again = engine.run(db, assignment=oracle)
+        again = engine.run(db, assignment=ReplayAssignment(log))
         assert again.tuples("select_emp") == result.tuples("select_emp")
 
 

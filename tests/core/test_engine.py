@@ -6,7 +6,8 @@ import pytest
 from repro.core.assignment import (CanonicalAssignment, OracleAssignment,
                                    RandomAssignment)
 from repro.core.engine import IdlogEngine
-from repro.core.idrelations import ordering_to_id_function
+from repro.core.idrelations import (enumerate_id_functions,
+                                    ordering_to_id_function)
 from repro.core.program import IdlogProgram, compute_tid_limits
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
@@ -91,6 +92,25 @@ class TestSingleModel:
         engine = IdlogEngine(SELECT_ONE)
         assert engine.query(EMP, "select_emp", oracle) == {
             ("cal",), ("eli",)}
+
+    def test_non_bijective_oracle_rejected(self):
+        emp = Database.from_facts({"emp": [
+            ("ann", "toys"), ("bob", "toys"), ("cal", "toys")]})
+        fn = {row: 0 for row in emp.relation("emp")}
+        oracle = OracleAssignment({("emp", frozenset({2})): fn})
+        engine = IdlogEngine("pick(N) :- emp[2](N, D, T), T < 1.")
+        with pytest.raises(SchemaError, match="not a bijection"):
+            engine.query(emp, "pick", oracle)
+
+    def test_tid_limited_prefix_oracle_allowed(self):
+        group = frozenset({2})
+        engine = IdlogEngine(SELECT_TWO)
+        base = EMP.relation("emp")
+        for fn in enumerate_id_functions(base, group, limit=2):
+            oracle = OracleAssignment({("emp", group): fn})
+            sample = engine.query(EMP, "select_two_emp", oracle)
+            assert {name for name, *_ in fn} >= {n for n, in sample}
+            assert len(sample) == 4
 
     def test_oracle_missing_pair_errors(self):
         oracle = OracleAssignment({})

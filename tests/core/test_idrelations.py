@@ -12,8 +12,8 @@ from repro.core.idrelations import (canonical_id_function,
                                     enumerate_id_functions, group_key,
                                     id_relations_of, make_id_relation,
                                     ordering_to_id_function,
-                                    random_id_function, sub_relations,
-                                    validate_id_function)
+                                    random_id_function, read_id_function,
+                                    sub_relations, validate_id_function)
 from repro.datalog.database import Relation
 from repro.errors import SchemaError
 
@@ -86,6 +86,36 @@ class TestIdFunctions:
         fn = {("a", "c"): 0, ("a", "d"): 0, ("b", "c"): 0}
         with pytest.raises(SchemaError):
             validate_id_function(R_EXAMPLE1, frozenset({1}), fn)
+
+    def test_validate_rejects_partial_function_naming_the_tuple(self):
+        fn = {("a", "c"): 0, ("b", "c"): 0}
+        with pytest.raises(SchemaError, match=r"undefined on \('a', 'd'\)"):
+            validate_id_function(R_EXAMPLE1, {1}, fn)
+
+    def test_read_allows_prefixes_under_a_limit_only(self):
+        r = Relation(1, tuples=[("a",), ("b",), ("c",)])
+        blocks = sub_relations(r, frozenset())
+        draw = read_id_function(blocks, {("c",): 0, ("a",): 1}, limit=2)
+        assert draw.orderings == {(): [("c",), ("a",)]}
+        assert draw == {("c",): 0, ("a",): 1}
+        with pytest.raises(SchemaError, match="undefined"):
+            read_id_function(blocks, {("c",): 0}, limit=2)
+        with pytest.raises(SchemaError, match="undefined"):
+            read_id_function(blocks, {("c",): 0, ("a",): 1})
+        with pytest.raises(SchemaError, match="bijection"):
+            read_id_function(blocks, {("c",): 0, ("a",): 2}, limit=2)
+
+    def test_draws_carry_their_partition(self):
+        group = frozenset({1})
+        blocks = sub_relations(R_EXAMPLE1, group)
+        draw = random_id_function(R_EXAMPLE1, group, random.Random(5))
+        assert draw.blocks == blocks
+        for key, ordering in draw.orderings.items():
+            assert sorted(ordering) == blocks[key]
+            assert [draw[row] for row in ordering] == \
+                list(range(len(ordering)))
+        canonical = canonical_id_function(R_EXAMPLE1, group)
+        assert canonical.orderings == blocks
 
     def test_ordering_to_id_function(self):
         fn = ordering_to_id_function([[("a", "c"), ("a", "d")], [("b", "c")]])
