@@ -39,19 +39,8 @@ from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 from ..datalog.database import Relation
 from ..datalog.trace import EV_ID_CHOICE, SCHEMA_VERSION
 from ..errors import ReplayError, ReproError
-from .idrelations import (Grouping, IdDraw, IdFunction, read_id_function,
-                          sub_relations)
-
-
-def block_digest(rows: Iterable[tuple]) -> str:
-    """Content digest of one block: order-independent, repr-canonical.
-
-    Two blocks digest equally iff they contain the same tuples — the
-    drift detector replay relies on.  16 hex chars (64 bits) is plenty
-    for block-count scales while keeping log lines readable.
-    """
-    payload = "\n".join(sorted(repr(row) for row in rows))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+from .idrelations import (Grouping, IdDraw, IdFunction, block_digest,
+                          read_id_function, sub_relations)
 
 
 @dataclass(frozen=True)
@@ -116,11 +105,10 @@ def choice_records(pred: str, group: Grouping, base: Relation,
     gtuple = tuple(sorted(group))
     return [
         ChoiceRecord(pred=pred, group=gtuple, block=key,
-                     block_digest=block_digest(blocks[key]),
-                     block_size=len(blocks[key]),
+                     block_digest=digest, block_size=len(blocks[key]),
                      ordering=tuple(draw.orderings[key][:limit]),
                      tid_limit=limit)
-        for key in sorted(blocks, key=repr)]
+        for key, digest in blocks.digests().items()]
 
 
 def _tupled(value):
@@ -412,9 +400,8 @@ class ReplayAssignment:
             raise ReplayError(
                 f"database drifted under {label}: " + "; ".join(bits))
         orderings: dict[tuple, tuple[tuple, ...]] = {}
-        for key in sorted(blocks, key=repr):
+        for key, found in blocks.digests().items():
             rec = recorded[key]
-            found = block_digest(blocks[key])
             if found != rec.block_digest:
                 raise ReplayError(
                     f"database drifted under {label}: block {key!r} "

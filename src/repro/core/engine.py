@@ -268,7 +268,8 @@ class IdlogEngine:
                         derived=stats.total_derived, probes=stats.probes,
                         firings=stats.firings, iterations=stats.iterations,
                         id_tuples=stats.id_tuples)
-        database = store.as_database(db.udomain | self.program.u_constants())
+        database = store.as_database(
+            db.udomain_with(self.program.u_constants()))
         return EvalResult(database, stats, dict(provider.materialized))
 
     def one(self, db: Database, seed: Optional[int] = None,

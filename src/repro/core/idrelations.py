@@ -22,16 +22,24 @@ A draw (:class:`IdDraw`) is an ID-function that carries the one partition
 it was drawn on and its per-block orderings, so the ID-relation, the choice
 records and replay read it without partitioning again;
 :func:`read_id_function` reads a supplied tid map onto a partition.
+
+The partition depends only on the relation's contents, not on the draw, so
+it belongs to the relation version: :func:`sub_relations` caches it (with
+its block digests) on the relation until the relation's next write, and a
+prepared program drawing again on unchanged data reuses it.  Only the
+per-block bijections are drawn anew.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from itertools import permutations, product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..datalog.database import Relation
+from ..datalog.pool import GLOBAL_POOL
 from ..datalog.terms import Value
 from ..errors import SchemaError
 
@@ -41,8 +49,42 @@ Grouping = frozenset[int]
 IdFunction = Mapping[tuple[Value, ...], int]
 """An assignment of tids to base tuples (bijective within each block)."""
 
-Partition = dict[tuple, list[tuple[Value, ...]]]
-"""Grouping key -> the tuples of that block (see :func:`sub_relations`)."""
+
+def block_digest(rows: Iterable[tuple]) -> str:
+    """Content digest of one block: order-independent, repr-canonical.
+
+    Two blocks digest equally iff they contain the same tuples — the
+    drift detector replay relies on.  16 hex chars (64 bits) is plenty
+    for block-count scales while keeping log lines readable.
+    """
+    payload = "\n".join(sorted(repr(row) for row in rows))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class Partition(dict):
+    """Grouping key -> the tuples of that block (see :func:`sub_relations`).
+
+    A relation keeps one per grouping until its next write, so readers
+    treat it as read-only.  :meth:`digests` adds each block's
+    :func:`block_digest`, built on first use and kept with the partition.
+    """
+
+    __slots__ = ("_digests",)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._digests: Optional[dict[tuple, str]] = None
+
+    def digests(self) -> dict[tuple, str]:
+        """Block key -> :func:`block_digest`, in repr-sorted key order.
+
+        The order choice records are emitted in, so two logs of the same
+        decisions compare line by line.
+        """
+        if self._digests is None:
+            self._digests = {key: block_digest(self[key])
+                             for key in sorted(self, key=repr)}
+        return self._digests
 
 
 class IdDraw(dict):
@@ -56,12 +98,13 @@ class IdDraw(dict):
 
     __slots__ = ("blocks", "orderings")
 
-    def __init__(self, blocks: Partition,
+    def __init__(self, blocks: Mapping[tuple, list[tuple]],
                  orderings: Mapping[tuple, Sequence[tuple]]) -> None:
         super().__init__()
         for ordering in orderings.values():
             self.update(zip(ordering, range(len(ordering))))
-        self.blocks = blocks
+        self.blocks = blocks if isinstance(blocks, Partition) \
+            else Partition(blocks)
         self.orderings = orderings
 
 
@@ -78,21 +121,56 @@ def sub_relations(base: Relation, group: Grouping) -> Partition:
     """Partition ``base`` into its sub-relations grouped by ``group``.
 
     Returns a mapping from grouping key to the tuples of that block, in a
-    deterministic (sorted) order so downstream constructions are repeatable.
+    deterministic order so downstream constructions are repeatable: blocks
+    in the order their keys first appear in ``base``'s row order, each
+    block's tuples sorted by the repr of their values.  The partition is
+    cached on ``base`` until its next write (:meth:`Relation.derived`), so
+    a prepared program partitions an unchanged relation once; it is
+    shared, and read-only.
     """
     for i in group:
         if not 1 <= i <= base.arity:
             raise SchemaError(
                 f"grouping position {i} outside 1..{base.arity}")
-    blocks: Partition = {}
-    for row in base:
-        blocks.setdefault(group_key(row, group), []).append(row)
-    for rows in blocks.values():
-        rows.sort(key=lambda r: tuple(map(repr, r)))
+    group = frozenset(group)
+    return base.derived(("id.partition", group),
+                        lambda: _build_partition(base, group))
+
+
+def _row_numbers(base: Relation) -> dict[tuple[Value, ...], int]:
+    """Each tuple of ``base`` -> its row number (cached until a write)."""
+    return base.derived("id.rows",
+                        lambda: dict(zip(base, range(len(base)))))
+
+
+def _build_partition(base: Relation, group: Grouping) -> Partition:
+    """The partition :func:`sub_relations` caches, grouped on codes."""
+    rows = list(_row_numbers(base))
+    columns = base.coded_columns()
+    keys = list(zip(*[columns[i - 1] for i in sorted(group)])) if group \
+        else [()] * len(rows)
+    members: dict = {}
+    for r, key in enumerate(keys):
+        bucket = members.get(key)
+        if bucket is None:
+            members[key] = [r]
+        else:
+            bucket.append(r)
+    blocks = Partition()
+    for numbers in members.values():
+        block = list(map(rows.__getitem__, numbers))
+        if len(block) > 1:
+            # Per block: the reprs of every row at once would cost more
+            # memory than the partition itself.
+            reprs = list(zip(*[map(repr, column) for column in zip(*block)]))
+            block = list(map(block.__getitem__, sorted(
+                range(len(block)), key=reprs.__getitem__)))
+        blocks[group_key(block[0], group)] = block
     return blocks
 
 
-def read_id_function(blocks: Partition, id_function: IdFunction,
+def read_id_function(blocks: Mapping[tuple, list[tuple]],
+                     id_function: IdFunction,
                      limit: Optional[int] = None) -> IdDraw:
     """Read a supplied tid map onto a partition of its base relation.
 
@@ -104,7 +182,7 @@ def read_id_function(blocks: Partition, id_function: IdFunction,
         SchemaError: naming the block whose tids are not a bijection, or
             the first tuple left without a tid.
     """
-    orderings: Partition = {}
+    orderings: dict[tuple, list[tuple]] = {}
     for key, rows in blocks.items():
         assigned = sorted(
             ((tid, row) for row in rows
@@ -151,7 +229,7 @@ def random_id_function(base: Relation, group: Grouping,
                        rng: random.Random) -> IdDraw:
     """A uniformly random ID-function (independent shuffle per block)."""
     blocks = sub_relations(base, group)
-    orderings: Partition = {}
+    orderings: dict[tuple, list[tuple]] = {}
     for key, rows in blocks.items():
         orderings[key] = shuffled = list(rows)
         rng.shuffle(shuffled)
@@ -195,6 +273,12 @@ def make_id_relation(base: Relation, id_function: IdFunction,
                      limit: Optional[int] = None) -> Relation:
     """Build the ID-relation: every base tuple extended with its tid.
 
+    Rows come out in ``base``'s row order, as coded rows: the base row's
+    codes plus the tid's.  A draw contributes the first ``limit`` tuples
+    of each block's ordering, so a tid-limited ID-relation costs
+    O(limit · blocks), not O(|base|); any other tid map contributes its
+    entries below ``limit``.
+
     Args:
         base: The base relation.
         id_function: Tid assignment (may be partial when prefix-limited).
@@ -202,18 +286,26 @@ def make_id_relation(base: Relation, id_function: IdFunction,
             group-limit optimization; sound when every use of the
             ID-predicate constrains the tid below ``limit``).
     """
+    if isinstance(id_function, IdDraw):
+        assigned = ((row, tid)
+                    for ordering in id_function.orderings.values()
+                    for tid, row in enumerate(ordering[:limit]))
+    else:
+        assigned = ((row, tid) for row, tid in id_function.items()
+                    if limit is None or tid < limit)
+    row_of = _row_numbers(base).get
+    picked = sorted((r, tid) for row, tid in assigned
+                    if (r := row_of(row)) is not None)
+    if limit is None and len(picked) < len(base):
+        row = next(row for row in base if row not in id_function)
+        raise SchemaError(
+            f"ID-function undefined on {row!r} without a tid limit")
+    numbers = [r for r, _ in picked]
+    tid_codes = map(GLOBAL_POOL.encode, [tid for _, tid in picked])
     result = Relation(base.arity + 1)
-    tid_of = id_function.get
-    for row in base:
-        tid = tid_of(row)
-        if tid is None:
-            if limit is None:
-                raise SchemaError(
-                    f"ID-function undefined on {row!r} without a tid limit")
-            continue
-        if limit is not None and tid >= limit:
-            continue
-        result.add(row + (tid,))
+    result.extend_coded(list(zip(
+        *[map(col.__getitem__, numbers) for col in base.coded_columns()],
+        tid_codes)))
     return result
 
 

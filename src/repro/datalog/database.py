@@ -19,6 +19,11 @@ projects over these codes end-to-end; the value-level API below (``add``,
 on the way out, so every caller that speaks values — the tuple-at-a-time
 interpreter, ID-materialization, the ChoiceLog, provenance, the CLI —
 behaves exactly as it did over the old tuple-set storage.
+
+What a relation derives from its contents — column statistics,
+u-constants, the sub-relation partitions ID materialization reads — lives
+in one slot (:meth:`Relation.derived`) that each write drops, so it is
+computed once per relation version.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ import csv
 import io
 import sys
 from array import array
-from typing import Iterable, Iterator, Mapping, Optional
+from itertools import chain
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
 from ..errors import SchemaError
 from .pool import GLOBAL_POOL
@@ -38,6 +44,33 @@ _POOL = GLOBAL_POOL
 #: Membership tables hold at most 2/3 of their slots; a rebuild resizes to
 #: the smallest power of two with room for 1.5x the live rows.
 _MIN_TABLE = 8
+
+
+def _container_bytes(root: object) -> int:
+    """``sys.getsizeof`` over the containers reachable from ``root``.
+
+    Dicts (with the ``__slots__`` values of dict subclasses), lists,
+    tuples and sets are counted once each; strings and ints are not —
+    in a relation's derived data they are the pool's constants.
+    """
+    total = 0
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if not isinstance(obj, (dict, list, tuple, set, frozenset)) \
+                or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+            stack.extend(getattr(obj, slot, None)
+                         for slot in getattr(type(obj), "__slots__", ()))
+        else:
+            stack.extend(obj)
+    return total
 
 
 def _table_cap(rows: int) -> int:
@@ -186,7 +219,7 @@ class Relation:
     """
 
     __slots__ = ("arity", "_schema", "_columns", "_size", "_table", "_mask",
-                 "_tombs", "_indexes", "_column_stats")
+                 "_tombs", "_indexes", "_derived")
 
     def __init__(self, arity: int, schema: Optional[RelationType] = None,
                  tuples: Iterable[tuple[Value, ...]] = ()) -> None:
@@ -203,7 +236,9 @@ class Relation:
         self._mask = 0
         self._tombs = 0
         self._indexes: dict[tuple[int, ...], dict] = {}
-        self._column_stats: Optional[tuple[int, ...]] = None
+        #: Data derived from this version of the contents (see
+        #: :meth:`derived`); every write drops it with one store.
+        self._derived: Optional[dict] = None
         for row in tuples:
             self.add(row)
 
@@ -274,7 +309,7 @@ class Relation:
             self._tombs -= 1
         self._table[slot] = n
         self._size = n + 1
-        self._column_stats = None
+        self._derived = None
         for positions, index in self._indexes.items():
             if len(positions) == 1:
                 key = coded[positions[0]]
@@ -411,7 +446,7 @@ class Relation:
         for col in columns:
             col.pop()
         self._size = last
-        self._column_stats = None
+        self._derived = None
         if self._tombs * 4 >= self._mask + 1:
             self._rebuild_table(_table_cap(self._size))
         return True
@@ -528,7 +563,7 @@ class Relation:
         for col, values in zip(columns, zip(*rows)):
             col.extend(values)
         self._size = n + len(rows)
-        self._column_stats = None
+        self._derived = None
         # Maintain any live index incrementally: keys come off the row
         # tuples (already boxed), row numbers continue from the old size.
         for positions, index in self._indexes.items():
@@ -641,6 +676,25 @@ class Relation:
         for r in bucket:
             yield tuple(decode(col[r]) for col in columns)
 
+    def derived(self, key: Hashable, build: Callable[[], object]):
+        """``build()``, cached under ``key`` until this relation's next write.
+
+        The one slot for data derived from this version of the contents:
+        :meth:`column_stats`, :meth:`u_constants` and the partitions ID
+        materialization reads (:func:`repro.core.idrelations.sub_relations`).
+        The three writes (``_insert_coded``, :meth:`discard`,
+        :meth:`extend_coded`) drop the whole slot with one store.  A value
+        is built in full before it is published, and callers treat it as
+        read-only, as they do :meth:`coded_columns`.
+        """
+        cache = self._derived
+        if cache is None:
+            cache = self._derived = {}
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = build()
+        return value
+
     def column_stats(self) -> tuple[int, ...]:
         """Per-position distinct-value counts, cached until the next mutation.
 
@@ -649,10 +703,8 @@ class Relation:
         estimates, computed directly over the code arrays — no decoding,
         one C-speed ``set`` per column.
         """
-        if self._column_stats is None:
-            self._column_stats = tuple(
-                len(set(col)) for col in self._columns)
-        return self._column_stats
+        return self.derived("column_stats", lambda: tuple(
+            len(set(col)) for col in self._columns))
 
     def memory_stats(self) -> dict:
         """Resource introspection: rows, index shape, resident bytes.
@@ -661,9 +713,12 @@ class Relation:
         *resident* footprint — column arrays, membership table, and every
         hash index (dict, keys, row-index buckets) — while
         ``logical_bytes`` is the information-theoretic floor of the code
-        matrix (8 bytes per cell).  ``distinct_constants`` over ``cells``
-        is the relation's interning ratio: how much the dictionary
-        encoding deduplicates.  The constant pool itself is shared,
+        matrix (8 bytes per cell).  ``derived_bytes`` is what the
+        :meth:`derived` slot holds on top (the containers it reaches;
+        the constants in them belong to the pool): the partitions a
+        prepared program keeps alive between writes.
+        ``distinct_constants`` over ``cells`` is the relation's interning
+        ratio: how much the dictionary encoding deduplicates.  The constant pool itself is shared,
         process-global state and is reported once by ``Database.stats()``,
         not per relation.
         """
@@ -689,6 +744,7 @@ class Relation:
             "logical_bytes": 8 * self.arity * rows,
             "distinct_constants": len(self._code_set()),
             "cells": rows * self.arity,
+            "derived_bytes": _container_bytes(self._derived),
         }
 
     def project(self, positions: tuple[int, ...]) -> "Relation":
@@ -710,16 +766,16 @@ class Relation:
         return result
 
     def u_constants(self) -> frozenset[str]:
-        """All sort-u values appearing in the relation."""
-        consts: set[str] = set()
-        decode = _POOL.decode
-        for col in self._columns:
-            for code in set(col):
-                if not code & 1:
-                    value = decode(code)
-                    if isinstance(value, str):
-                        consts.add(value)
-        return frozenset(consts)
+        """All sort-u values appearing in the relation (cached per version)."""
+        return self.derived("u_constants", self._scan_u_constants)
+
+    def _scan_u_constants(self) -> frozenset[str]:
+        # One decoded column at a time.  Deduplicating through a dict
+        # lets the frozenset size its table once, to half what growing
+        # it one value at a time leaves resident.
+        values = chain.from_iterable(map(_POOL.decode_column, self._columns))
+        return frozenset(dict.fromkeys(
+            value for value in values if isinstance(value, str)))
 
     def copy(self) -> "Relation":
         """An independent copy (indexes are not copied).
@@ -819,13 +875,26 @@ class Database:
 
     @property
     def udomain(self) -> frozenset[str]:
-        """The u-domain: declared, or inferred from stored u-constants."""
-        inferred: set[str] = set()
-        for relation in self._relations.values():
-            inferred |= relation.u_constants()
+        """The u-domain: declared, or inferred from stored u-constants.
+
+        The union of each relation's cached :meth:`Relation.u_constants`,
+        so only relations written since the last call are rescanned.
+        """
+        parts = [relation.u_constants()
+                 for relation in self._relations.values()]
         if self._declared_udomain is not None:
-            return self._declared_udomain | frozenset(inferred)
-        return frozenset(inferred)
+            parts.append(self._declared_udomain)
+        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+
+    def udomain_with(self, constants: frozenset[str]) -> frozenset[str]:
+        """The u-domain widened by ``constants`` (a program's own).
+
+        Shares :attr:`udomain` instead of copying it when ``constants``
+        adds nothing, so an evaluation's result database costs no
+        u-domain copy.
+        """
+        udomain = self.udomain
+        return udomain if constants <= udomain else udomain | constants
 
     def relation_names(self) -> frozenset[str]:
         """The names of all stored relations."""
@@ -879,13 +948,13 @@ class Database:
 
         Returns ``{"relations": {name: Relation.memory_stats()},
         "relation_count", "total_rows", "total_approx_bytes",
-        "total_logical_bytes", "udomain_size"}`` plus the dictionary-
-        encoding report: ``distinct_constants`` (over all stored cells),
-        ``total_cells``, their quotient ``interning_ratio``, and the
-        process-wide constant pool's ``pool_constants`` /
-        ``pool_approx_bytes`` (shared state, counted once, not per
-        relation) — the report behind ``repro-idlog stats`` and the
-        shell's ``.stats`` command.
+        "total_logical_bytes", "total_derived_bytes", "udomain_size"}``
+        plus the dictionary-encoding report: ``distinct_constants`` (over
+        all stored cells), ``total_cells``, their quotient
+        ``interning_ratio``, and the process-wide constant pool's
+        ``pool_constants`` / ``pool_approx_bytes`` (shared state, counted
+        once, not per relation) — the report behind ``repro-idlog stats``
+        and the shell's ``.stats`` command.
         """
         per_relation = {name: relation.memory_stats()
                         for name, relation in self._relations.items()}
@@ -902,6 +971,8 @@ class Database:
                 s["approx_bytes"] for s in per_relation.values()),
             "total_logical_bytes": sum(
                 s["logical_bytes"] for s in per_relation.values()),
+            "total_derived_bytes": sum(
+                s["derived_bytes"] for s in per_relation.values()),
             "distinct_constants": len(codes),
             "total_cells": cells,
             "interning_ratio": round(len(codes) / cells, 4) if cells else 0.0,

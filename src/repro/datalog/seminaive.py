@@ -661,4 +661,4 @@ def _evaluate(program: Program, db: Database,
                     wall_s=perf_counter() - start,
                     derived=stats.total_derived, probes=stats.probes,
                     firings=stats.firings, iterations=stats.iterations)
-    return store.as_database(db.udomain | program.u_constants()), stats
+    return store.as_database(db.udomain_with(program.u_constants())), stats

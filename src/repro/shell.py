@@ -191,6 +191,7 @@ class Shell:
         self._print(f"total: rows={report['total_rows']} "
                     f"approx_bytes={report['total_approx_bytes']} "
                     f"logical_bytes={report['total_logical_bytes']} "
+                    f"derived_bytes={report['total_derived_bytes']} "
                     f"udomain={report['udomain_size']}")
         self._print(f"pool: constants={report['pool_constants']} "
                     f"approx_bytes={report['pool_approx_bytes']} "

@@ -3,8 +3,9 @@
 An ID-relation of ``p`` on ``s`` is one partition of ``p`` into its
 sub-relations plus one bijection per block.  These tests pin what that
 partition feeds: the seeded draws (so the seed -> answer mapping cannot
-move unnoticed), the events replay emits, and the number of times the
-partition is computed per materialization.
+move unnoticed), the events replay emits, the number of times the
+partition is computed per materialization, and its reuse across
+evaluations of an unchanged relation.
 """
 
 import hashlib
@@ -12,8 +13,10 @@ import sys
 
 import pytest
 
-from repro.core import IdlogEngine
+from repro.core import IdlogEngine, idrelations
 from repro.core.choicelog import ChoiceLog
+from repro.core.idrelations import (canonical_id_function, sub_relations,
+                                    validate_id_function)
 from repro.datalog.database import Database
 from repro.datalog.metrics import MetricsTracer
 from repro.datalog.trace import (EV_ID_CHOICE, EV_ID_MATERIALIZED,
@@ -137,3 +140,50 @@ class TestOnePartition:
         IdlogEngine(TWO_LEVEL, tracer=MetricsTracer()).one(
             ZIPF_EMP, seed=1, record=ChoiceLog())
         assert partitions[0] == 2
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count runs of the partition builder behind ``sub_relations``."""
+    calls = [0]
+    original = idrelations._build_partition
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(idrelations, "_build_partition", counted)
+    return calls
+
+
+class TestPartitionReuse:
+    """The partition belongs to the relation version, not to the draw."""
+
+    def test_unchanged_relation_is_partitioned_once(self, builds):
+        db = Database.from_facts({"emp": list(ZIPF_EMP.relation("emp"))})
+        engine = IdlogEngine(PICK_PAIR, persistent_caches=True)
+        engine.one(db, seed=1)
+        builds[0] = 0
+        engine.one(db, seed=2)
+        assert builds[0] == 0
+        db.relation("emp").add(("zed", "dept0"))
+        engine.one(db, seed=3)
+        assert builds[0] == 1
+
+    def test_consumers_leave_the_cached_partition_intact(self):
+        db = Database.from_facts({"emp": list(EMP.relation("emp"))})
+        base = db.relation("emp")
+        group = frozenset({2})
+        engine = IdlogEngine(SECTION1)
+        engine.run(db)
+        log = ChoiceLog()
+        engine.one(db, seed=4, record=log)
+        engine.replay(db, log)
+        engine.answers(db, "select_two_emp")
+        validate_id_function(base, group,
+                             canonical_id_function(base, group))
+        cached = sub_relations(base, group)
+        fresh = sub_relations(base.copy(), group)
+        assert cached is sub_relations(base, group)
+        assert list(cached.items()) == list(fresh.items())
+        assert cached.digests() == fresh.digests()

@@ -1,11 +1,13 @@
 """Tests for relations, indexes and databases."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.idrelations import sub_relations
 from repro.datalog.database import (Database, Relation, relation_from_csv,
                                     relation_to_csv)
+from repro.datalog.pool import GLOBAL_POOL
 from repro.datalog.terms import Sort
 from repro.errors import SchemaError
 
@@ -287,6 +289,20 @@ class TestMemoryStats:
         db = Database.from_facts({"p": [("a",)]})
         assert json.loads(json.dumps(db.stats()))["total_rows"] == 1
 
+    def test_derived_bytes_count_the_cache_not_the_relation(self):
+        db = Database.from_facts({"emp": [("ann", "toys"), ("bob", "it")]})
+        emp = db.relation("emp")
+        before = db.stats()
+        assert before["total_derived_bytes"] == 0
+        sub_relations(emp, frozenset({2}))
+        after = db.stats()
+        assert emp.memory_stats()["derived_bytes"] > 0
+        assert after["total_derived_bytes"] == \
+            emp.memory_stats()["derived_bytes"]
+        assert after["total_approx_bytes"] == before["total_approx_bytes"]
+        emp.add(("cal", "toys"))
+        assert emp.memory_stats()["derived_bytes"] == 0
+
 
 class TestCodedApi:
     """The executor-facing coded surface of the columnar Relation."""
@@ -398,3 +414,79 @@ class TestCodedDelta:
         assert delta.index_on_coded((1,))[g] == [0, 1]
         key = (GLOBAL_POOL.encode("a"), g)
         assert delta.index_on_coded((0, 1))[key] == [0]
+
+
+#: One write or read of a relation of rows like ``rows3``.
+relation_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["add", "discard", "extend_coded"]),
+              rows3.map(lambda rows: rows[:1] or [("a", "x", 0)])),
+    st.tuples(st.sampled_from(["update", "merge_rows", "merge_coded",
+                               "extend_coded", "discard"]), rows3),
+    st.tuples(st.just("read"), st.sampled_from(range(8)))),
+    max_size=12)
+
+GROUPINGS = [frozenset(i for i in (1, 2, 3) if mask >> (i - 1) & 1)
+             for mask in range(8)]
+
+
+def apply_op(r: Relation, name: str, arg) -> None:
+    if name == "read":
+        group = GROUPINGS[arg]
+        sub_relations(r, group).digests()
+        r.u_constants()
+        r.column_stats()
+    elif name == "add":
+        r.add(arg[0])
+    elif name == "update":
+        r.update(arg)
+    elif name == "merge_rows":
+        r.merge_rows(arg)
+    elif name == "merge_coded":
+        r.merge_coded([GLOBAL_POOL.encode_row(row) for row in arg])
+    elif name == "extend_coded":
+        fresh = [row for row in dict.fromkeys(arg) if row not in r]
+        r.extend_coded([GLOBAL_POOL.encode_row(row) for row in fresh])
+    else:
+        for row in arg:
+            r.discard(row)
+
+
+class TestDerivedCache:
+    """What a relation derives from its contents lasts until its next write."""
+
+    @given(relation_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_cache_matches_a_fresh_relation_after_every_step(self, ops):
+        r = Relation(3)
+        for name, arg in ops:
+            apply_op(r, name, arg)
+            fresh = Relation(3, tuples=list(r))
+            for group in GROUPINGS:
+                got, want = sub_relations(r, group), \
+                    sub_relations(fresh, group)
+                assert list(got.items()) == list(want.items())
+                assert list(got.digests().items()) == \
+                    list(want.digests().items())
+            assert r.u_constants() == fresh.u_constants()
+            assert r.column_stats() == fresh.column_stats()
+
+    def test_cached_until_the_next_write(self):
+        r = Relation(3, tuples=[("a", "x", 0), ("b", "x", 1)])
+        group = frozenset({2})
+        first = sub_relations(r, group)
+        assert sub_relations(r, group) is first
+        assert not r.add(("a", "x", 0))  # a duplicate writes nothing
+        assert sub_relations(r, group) is first
+        r.add(("c", "y", 2))
+        assert sub_relations(r, group) is not first
+        assert list(sub_relations(r, group)) == [("x",), ("y",)]
+
+    def test_copy_starts_cold(self):
+        r = Relation(3, tuples=[("a", "x", 0), ("b", "y", 1)])
+        sub_relations(r, frozenset({2}))
+        r.u_constants()
+        assert r.memory_stats()["derived_bytes"] > 0
+        clone = r.copy()
+        assert clone.memory_stats()["derived_bytes"] == 0
+        assert sub_relations(clone, frozenset({2})) == \
+            sub_relations(r, frozenset({2}))

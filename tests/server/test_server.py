@@ -222,6 +222,27 @@ class TestPreparedPrograms:
         assert second["stats"]["pipelines_reused"] > 0
         assert first["prepared"] == second["prepared"]  # same cache entry
 
+    def test_prepared_run_sees_rows_asserted_between_runs(self, client,
+                                                           session):
+        # The base relation's cached partition must not outlive a write.
+        client.call("assert_facts", session=session,
+                    facts={"emp": [["ann", "toys"], ["bob", "toys"],
+                                   ["dee", "it"]]})
+        client.call("prepare", session=session, name="pick",
+                    program="pick(N, D) :- emp[2](N, D, T), T < 3.")
+        first = client.call("run", session=session, prepared="pick",
+                            mode="one", seed=1)
+        assert sorted(first["answers"]["pick"]) == \
+            [["ann", "toys"], ["bob", "toys"], ["dee", "it"]]
+        client.call("assert_facts", session=session,
+                    facts={"emp": [["cal", "toys"]]})
+        second = client.call("run", session=session, prepared="pick",
+                             mode="one", seed=1)
+        toys = [row for row in second["answers"]["pick"]
+                if row[1] == "toys"]
+        assert sorted(toys) == \
+            [["ann", "toys"], ["bob", "toys"], ["cal", "toys"]]
+
     def test_unknown_prepared(self, client, session):
         with pytest.raises(ServerError) as err:
             client.call("run", session=session, prepared="ghost")

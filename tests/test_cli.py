@@ -492,6 +492,16 @@ class TestStatsCommand:
         assert report["counters"]["derived"] > 0
         assert report["total_approx_bytes"] > 0
 
+    def test_id_program_reports_the_cached_partition(self, program_file,
+                                                     facts_file):
+        code, output = run_cli("stats", program_file, "-f", facts_file,
+                               "--json")
+        assert code == 0
+        report = json.loads(output)
+        assert report["relations"]["emp"]["derived_bytes"] > 0
+        assert report["total_derived_bytes"] == sum(
+            s["derived_bytes"] for s in report["relations"].values())
+
     def test_directory_report(self, tmp_path, facts_file):
         from repro.cli import _load_facts
         from repro.datalog.storage import save_database
